@@ -3,8 +3,8 @@
 The ISSUE 10 acceptance grid: every registered scheme (the paper's six,
 the two extensions, and the WIRE / DATACON / PALP zoo) across the eight
 PARSEC-like workloads through the SweepEngine on the ``auto`` lane —
-priced schemes ride the oracle-certified fastpath, ``palp`` exercises
-the DES routing of unpriced schemes.  Emits ``BENCH_scheme_zoo.json``
+every scheme rides the oracle-certified fastpath, priced from the
+write-service table both lanes share.  Emits ``BENCH_scheme_zoo.json``
 at the repo root with one normalized-vs-DCW row per (scheme, workload)
 cell, and enforces the zoo's headline cross-paper guarantee on the full
 grid: WIRE's mean write energy never exceeds Flip-N-Write's in any

@@ -85,4 +85,4 @@ print(format_table(
     title="Custom scheme running inside the Fig 11-14 harness (dedup)",
 ))
 print("\nTo add a precompute fast path for big sweeps, extend"
-      "\nrepro.experiments.fullsystem.precompute_write_service.")
+      "\nrepro.schemes.pricing.precompute_write_service.")

@@ -802,7 +802,6 @@ def _split_schemes(tokens: list[str]) -> list[str]:
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
     from repro.config import default_config
-    from repro.fastpath.pricer import PRICED_SCHEMES
     from repro.schemes import SCHEME_REGISTRY, get_scheme
 
     config = default_config()
@@ -813,16 +812,14 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
             "scheme": name,
             "requires_read": scheme.requires_read,
             "worst_case_units": scheme.worst_case_units(),
-            "lane": "priced" if name in PRICED_SCHEMES else "des-only",
         })
     width = max(len(r["scheme"]) for r in rows)
-    print(f"{'scheme':<{width}}  read  wc_units  fastpath")
+    print(f"{'scheme':<{width}}  read  wc_units")
     for r in rows:
         print(
             f"{r['scheme']:<{width}}  "
             f"{'yes ' if r['requires_read'] else 'no  '}  "
-            f"{r['worst_case_units']:>8g}  "
-            f"{r['lane']}"
+            f"{r['worst_case_units']:>8g}"
         )
     _maybe_json(args, {"schemes": rows})
     return 0
@@ -1096,14 +1093,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=500,
                    help="random demand-vector volume (grids/corners always run)")
     p.add_argument("--schemes", nargs="+", default=[],
-                   help="restrict the write lane (space- or comma-separated; "
-                        "default: every registered scheme)")
+                   help="restrict the write and table lanes (space- or "
+                        "comma-separated; default: every registered scheme)")
     p.add_argument("--json", default="",
                    help="write the full divergence report as JSON here")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser(
-        "schemes", help="list registered write schemes and their fastpath lane"
+        "schemes",
+        help="list registered write schemes (read stage, worst-case units)",
     )
     p.add_argument("--json", default="",
                    help="also write the table as JSON here")

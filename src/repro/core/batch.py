@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BatchPackResult", "pack_batch", "service_units_batch"]
+__all__ = [
+    "BatchPackResult",
+    "pack_batch",
+    "relaxed_subslots_batch",
+    "service_units_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,74 @@ def pack_batch(
                 n_extra[rows_new] += 1
 
     return BatchPackResult(result=result, subresult=n_extra, K=K)
+
+
+def relaxed_subslots_batch(
+    n_set: np.ndarray,
+    n_reset: np.ndarray,
+    *,
+    K: int = 8,
+    L: float = 2.0,
+    power_budget: float = 128.0,
+) -> np.ndarray:
+    """Unaligned Algorithm 2 (``tetris_relaxed``) for many writes at once.
+
+    The batch form of :class:`~repro.core.generalized.GeneralizedScheduler`
+    with SLC's two burst classes: write-1 bursts hold ``K`` sub-slots at
+    1 current per cell, write-0 bursts one sub-slot at ``L`` per cell;
+    oversized bursts split into budget-sized chunks.  Bursts go longest
+    first, then largest first, each to the earliest sub-slot offset whose
+    whole span has headroom; one column sweep places the t-th burst of
+    every write together.  Returns the per-write occupied sub-slot count
+    (completion in ``t_set / K`` units).
+    """
+    n_set = np.atleast_2d(np.asarray(n_set, dtype=np.int64))
+    n_reset = np.atleast_2d(np.asarray(n_reset, dtype=np.int64))
+    if n_set.shape != n_reset.shape:
+        raise ValueError("n_set / n_reset shape mismatch")
+    in1 = _split_demand(n_set.astype(np.float64), power_budget, 1.0)
+    in0 = _split_demand(n_reset.astype(np.float64), power_budget, L)
+    if K == 1:
+        # Equal durations: the two classes interleave by current alone.
+        phases = [(np.concatenate([in1, in0], axis=1), 1)]
+    else:
+        phases = [(in1, K), (in0, 1)]
+
+    W = n_set.shape[0]
+    width = in1.shape[1] * K + in0.shape[1]
+    occ = np.zeros((W, width + K), dtype=np.float64)
+    n_occ = np.zeros(W, dtype=np.int64)
+    limit = power_budget + 1e-12  # GeneralizedScheduler's fit tolerance
+    for demand, span in phases:
+        demand = np.sort(demand, axis=1)[:, ::-1]
+        for t in range(demand.shape[1]):
+            need = demand[:, t]
+            active = need > 0
+            if not active.any():
+                break
+            # Peak occupancy of the span starting at every offset below
+            # the longest timeline (slots past a row's end are empty).
+            top = int(n_occ.max())
+            peak = occ[:, :top].copy()
+            for d in range(1, span):
+                np.maximum(peak, occ[:, d : d + top], out=peak)
+            fits = (peak + need[:, None] <= limit) & (
+                np.arange(top)[None, :] < n_occ[:, None]
+            )
+            start = n_occ.copy()
+            if top:
+                found = fits.any(axis=1)
+                start[found] = np.argmax(fits, axis=1)[found]
+            cols = np.arange(top + span)
+            hit = (
+                active[:, None]
+                & (cols[None, :] >= start[:, None])
+                & (cols[None, :] < start[:, None] + span)
+            )
+            window = occ[:, : top + span]
+            window[hit] = (window + need[:, None])[hit]
+            n_occ = np.where(active, np.maximum(n_occ, start + span), n_occ)
+    return n_occ
 
 
 def service_units_batch(

@@ -4,11 +4,9 @@ Two interchangeable :class:`~repro.memctrl.controller.ServiceModel`
 implementations:
 
 * :class:`PrecomputedServiceModel` — the fast path.  Before the DES runs,
-  :func:`precompute_write_service` prices every write of the trace in one
-  vectorized pass (closed forms for the baselines, the batch Algorithm-2
-  packer for Tetris).  Valid because per-line write order under the
-  FCFS-per-bank controller equals trace order, so the content evolution
-  each write sees is known up front.
+  :func:`precompute_write_service` (re-exported from
+  :mod:`repro.schemes.pricing`, the table both sweep lanes share) prices
+  every write of the trace in one vectorized pass.
 * :class:`FunctionalServiceModel` — the slow path.  A live
   :class:`~repro.pcm.device.PCMDevice` with realized payloads services
   every request through the actual scheme objects; used by integration
@@ -17,16 +15,14 @@ implementations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config import SystemConfig, default_config
-from repro.core.batch import pack_batch
 from repro.cpu.system import CMPSystem, SystemResult
 from repro.memctrl.request import MemRequest
 from repro.pcm.device import PCMDevice
 from repro.schemes import get_scheme
+from repro.schemes.pricing import WriteServiceTable, precompute_write_service
 from repro.trace.content import realize_payload
 from repro.trace.record import Trace
 
@@ -36,193 +32,6 @@ __all__ = [
     "precompute_write_service",
     "run_fullsystem",
 ]
-
-
-@dataclass(frozen=True)
-class WriteServiceTable:
-    """Per-write pricing for one (trace, scheme) pair."""
-
-    scheme: str
-    service_ns: np.ndarray   # (n_writes,)
-    units: np.ndarray        # (n_writes,) write-stage length in t_set units
-    energy: np.ndarray       # (n_writes,) normalized energy
-
-    def mean_units(self) -> float:
-        return float(self.units.mean()) if self.units.size else 0.0
-
-
-def precompute_write_service(
-    trace: Trace,
-    scheme_name: str,
-    config: SystemConfig | None = None,
-    *,
-    variation=None,
-    adaptive_analysis: bool = False,
-) -> WriteServiceTable:
-    """Price every write of a trace under one scheme, vectorized.
-
-    The trace's per-write (SET, RESET) unit counts are post-inversion by
-    construction (every unit changes at most half its cells, so the flip
-    stage is the identity — see :mod:`repro.trace.content`), which lets
-    the baselines use their closed forms directly and Tetris use the
-    batch packer on the raw counts.
-
-    ``variation`` (a :class:`~repro.pcm.variation.ProcessVariation`)
-    scales each write's service time by its target line's regional
-    cell-speed factor.
-    """
-    config = config if config is not None else default_config()
-    scheme = get_scheme(scheme_name, config)
-    n_writes = trace.n_writes
-    n_set = trace.write_counts[..., 0].astype(np.int64)
-    n_reset = trace.write_counts[..., 1].astype(np.int64)
-    changed_set = n_set.sum(axis=1)
-    changed_reset = n_reset.sum(axis=1)
-    cells_per_line = trace.units_per_line * config.data_unit_bits
-    em = scheme.energy_model
-    read_energy = em.read_energy_per_line if scheme.requires_read else 0.0
-
-    if scheme_name == "preset":
-        # PreSET demand depends on the absolute zero-count of the new
-        # data, which count tables do not carry; random line content has
-        # ~half zeros per unit, so we charge the expectation (32/unit).
-        from repro.core.batch import pack_batch as _pack
-
-        n_zero = np.full((n_writes, trace.units_per_line), 32, dtype=np.int64)
-        packed = _pack(
-            np.zeros_like(n_zero), n_zero,
-            K=config.K, L=config.L,
-            power_budget=config.bank_power_budget, allow_split=True,
-        )
-        units = packed.service_units()
-        service = units * config.timings.t_set_ns
-        cells = n_zero.sum(axis=1).astype(np.float64)
-        energy = cells * (em.e_reset + em.e_set)  # demand RESET + deferred SET
-        if variation is not None:
-            write_lines = trace.records["line"][trace.records["op"] == 1]
-            service = variation.apply(service, write_lines.astype(np.int64))
-        return WriteServiceTable(
-            scheme=scheme_name,
-            service_ns=np.asarray(service, dtype=np.float64),
-            units=np.asarray(units, dtype=np.float64),
-            energy=np.asarray(energy, dtype=np.float64),
-        )
-
-    if scheme_name == "tetris_relaxed":
-        # No vectorized packer for the unaligned variant: per-write loop
-        # (fine for bench-scale traces; the aligned "tetris" is the fast
-        # path for big grids).
-        units = np.array(
-            [
-                scheme.service_units_for_counts(n_set[w], n_reset[w])
-                for w in range(n_writes)
-            ]
-        )
-        service = (
-            config.timings.t_read_ns
-            + config.analysis_overhead_ns
-            + units * config.timings.t_set_ns
-        )
-        energy = em.write_energy(changed_set, changed_reset) + read_energy
-    elif scheme_name == "datacon":
-        # One conventional per-data-unit share per dirty unit; energy is
-        # DCW's (changed cells, plain encoding).  Mirrored bit-identically
-        # by the fastpath pricer.
-        dirty = np.count_nonzero(n_set + n_reset, axis=1)
-        per_dirty = config.units_per_line / config.data_units_per_line
-        units = dirty.astype(np.float64) * per_dirty
-        service = config.timings.t_read_ns + units * config.timings.t_set_ns
-        energy = em.write_energy(changed_set, changed_reset) + read_energy
-    elif scheme_name == "palp":
-        # min(serial Algorithm 2, slowest partition at budget/P) — the
-        # batch analogue of PALPWrite's two-plan controller.
-        serial = pack_batch(
-            n_set,
-            n_reset,
-            K=config.K,
-            L=config.L,
-            power_budget=config.bank_power_budget,
-            allow_split=True,
-        ).service_units()
-        units = serial
-        if scheme.partition_feasible:
-            parts = scheme.partitions
-            chunk = -(-n_set.shape[1] // parts)  # ceil division
-            worst = np.zeros(n_writes, dtype=np.float64)
-            for p in range(parts):
-                lo, hi = p * chunk, min((p + 1) * chunk, n_set.shape[1])
-                if lo >= hi:
-                    break
-                worst = np.maximum(
-                    worst,
-                    pack_batch(
-                        n_set[:, lo:hi],
-                        n_reset[:, lo:hi],
-                        K=config.K,
-                        L=config.L,
-                        power_budget=config.bank_power_budget / parts,
-                        allow_split=True,
-                    ).service_units(),
-                )
-            units = np.minimum(serial, worst)
-        service = (
-            config.timings.t_read_ns
-            + config.analysis_overhead_ns
-            + units * config.timings.t_set_ns
-        )
-        energy = em.write_energy(changed_set, changed_reset) + read_energy
-    elif scheme_name == "tetris":
-        packed = pack_batch(
-            n_set,
-            n_reset,
-            K=config.K,
-            L=config.L,
-            power_budget=config.bank_power_budget,
-            allow_split=True,
-        )
-        units = packed.service_units()
-        if adaptive_analysis:
-            # Hardware fast path (see TetrisWrite.adaptive_analysis):
-            # trivial schedules answer in 4 cycles instead of 41.
-            in1 = changed_set.astype(np.float64)
-            in0 = changed_reset.astype(np.float64) * config.L
-            trivial = (in1 <= config.bank_power_budget) & (
-                in1 + in0 <= config.bank_power_budget
-            )
-            analysis = np.where(trivial, 10.0, config.analysis_overhead_ns)
-        else:
-            analysis = config.analysis_overhead_ns
-        service = (
-            config.timings.t_read_ns
-            + analysis
-            + units * config.timings.t_set_ns
-        )
-        energy = em.write_energy(changed_set, changed_reset) + read_energy
-    else:
-        units = np.full(n_writes, scheme.worst_case_units())
-        service = np.full(n_writes, scheme.worst_case_service_ns())
-        if scheme_name in ("conventional", "two_stage"):
-            # These program *every* cell; without payloads the expected
-            # polarity split of random data is half/half.
-            half = cells_per_line / 2.0
-            energy = np.full(n_writes, float(em.write_energy(half, half)))
-            energy += read_energy
-        else:
-            energy = em.write_energy(changed_set, changed_reset) + read_energy
-
-    if variation is not None:
-        write_lines = trace.records["line"][trace.records["op"] == 1]
-        service = variation.apply(
-            np.asarray(service, dtype=np.float64),
-            write_lines.astype(np.int64),
-        )
-
-    return WriteServiceTable(
-        scheme=scheme_name,
-        service_ns=np.asarray(service, dtype=np.float64),
-        units=np.asarray(units, dtype=np.float64),
-        energy=np.asarray(energy, dtype=np.float64),
-    )
 
 
 class PrecomputedServiceModel:

@@ -1,17 +1,18 @@
 """Oracle-certified analytic fast path for sweep cells.
 
 For cells inside a verified envelope (single-level cells, no fault
-injection, the paper's FIFO-drain controller, registered schemes) a
-sweep row can be *priced* analytically — closed-form service tables
-plus a two-regime queueing model — instead of *simulated*, at ~17x the
-speed with sub-6% error on every system metric (docs/PERFORMANCE.md).
+injection, the paper's FIFO-drain controller) a sweep row can be
+*priced* analytically — the write-service table both lanes share plus a
+two-regime queueing model — instead of *simulated*, at ~17x the speed
+with sub-6% error on every system metric (docs/PERFORMANCE.md).
 
 Lane discipline: the fast path must never be able to copy the DES's
-answers, so this package may not import ``repro.sim``, ``repro.pcm`` or
-``repro.schemes`` (simlint SL016).  Trust comes from the per-run
-certificate (:mod:`repro.fastpath.certificate`): every row records its
-lane, and a seeded sample of fastpath rows is re-run through the DES
-and compared under measured agreement bands
+answers, so this package may not import ``repro.sim``, ``repro.memctrl``
+or ``repro.cpu`` (simlint SL016); the per-write prices it shares with
+the DES are checked by the oracle's table lane instead.  Trust comes
+from the per-run certificate (:mod:`repro.fastpath.certificate`): every
+row records its lane, and a seeded sample of fastpath rows is re-run
+through the DES and compared under measured agreement bands
 (:mod:`repro.fastpath.agreement`).
 """
 
@@ -27,7 +28,6 @@ from repro.fastpath.envelope import (
     classify,
 )
 from repro.fastpath.pricer import (
-    PRICED_SCHEMES,
     model_cell,
     price_cell,
     price_write_service,
@@ -45,7 +45,6 @@ __all__ = [
     "FIELD_TOLERANCES",
     "FastpathEnvelopeError",
     "FieldTolerance",
-    "PRICED_SCHEMES",
     "build_certificate",
     "classify",
     "compare_rows",

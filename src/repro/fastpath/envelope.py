@@ -1,6 +1,8 @@
 """Fastpath envelope: which cells the analytic lane may price.
 
-The pricer (:mod:`repro.fastpath.pricer`) models the *paper's*
+Every registered scheme is priced (the write-service table is shared
+with the DES lane), so the envelope is about the system, not the scheme.
+The queueing model (:mod:`repro.fastpath.pricer`) models the *paper's*
 controller: FIFO drain between fixed watermarks, one outstanding read
 per core, one subarray per bank, no fault injection.  Every ablation
 knob that leaves that regime — write pausing, coalescing, SJF drain,
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
-from repro.fastpath.pricer import PRICED_SCHEMES
 
 __all__ = [
     "EnvelopeDecision",
@@ -35,7 +36,7 @@ class EnvelopeDecision:
     """Outcome of envelope classification for one cell.
 
     ``reasons`` is empty iff ``inside`` — each entry is a short
-    machine-stable tag (``"faults-enabled"``, ``"unpriced-scheme"``, ...)
+    machine-stable tag (``"faults-enabled"``, ``"write-pausing"``, ...)
     recorded in the run certificate.
     """
 
@@ -61,15 +62,14 @@ def classify(
 ) -> EnvelopeDecision:
     """Decide whether one (config, scheme) cell is analytically priceable.
 
-    ``supplied_trace`` marks cells running user-supplied trace files:
-    the pricer itself handles any record stream, but the oracle corpus
-    that certifies it only covers the synthetic generators, so supplied
-    traces stay on the DES lane.
+    Every registered scheme is priced, so only the configuration and the
+    trace's origin decide.  ``supplied_trace`` marks cells running
+    user-supplied trace files: the pricer itself handles any record
+    stream, but the oracle corpus that certifies it only covers the
+    synthetic generators, so supplied traces stay on the DES lane.
     """
     reasons: list[str] = []
 
-    if scheme not in PRICED_SCHEMES:
-        reasons.append("unpriced-scheme")
     if config.faults.enabled:
         reasons.append("faults-enabled")
     if config.trace.enabled:

@@ -4,11 +4,10 @@ Two halves, mirroring the two halves of a DES cell
 (:func:`repro.parallel.engine._execute_cell`):
 
 * :func:`price_write_service` — per-write ``(service_ns, units, energy)``
-  arrays, the same numbers ``precompute_write_service`` produces but
-  built only from the oracle's closed forms (Eqs. 1-4), the vectorized
-  Algorithm-2 packer (``repro.core.batch``) and the count tables the
-  trace already carries.  Bit-identical to the production tables by
-  construction (asserted in ``tests/test_fastpath.py``).
+  arrays from the write-service table both lanes share
+  (:mod:`repro.schemes.pricing`); the lanes differ only in what they do
+  with it.  The oracle's table lane checks those tables against the
+  paper's closed forms for every registered scheme.
 * :func:`model_cell` — a two-regime analytic model of the restricted
   controller semantics that replaces the event-driven simulation:
 
@@ -30,13 +29,11 @@ Two halves, mirroring the two halves of a DES cell
   schemes, 4000 requests/core): mean absolute error 0.4-1.4% per metric,
   max 5.6% (read latency on saturated cells); see docs/PERFORMANCE.md.
 
-Import discipline (simlint SL016): this package must not import
-``repro.sim``, ``repro.pcm`` or ``repro.schemes`` — the fast path has to
-stay falsifiable against the production simulator, which it cannot be if
-it computes answers *with* the production simulator.  The energy
-constants below therefore mirror ``repro.pcm.energy.EnergyModel`` rather
-than importing it; ``tests/test_fastpath.py`` pins them to the real
-model.
+Import discipline (simlint SL016): this package must not import the
+DES it is rechecked against (``repro.sim``, ``repro.memctrl``,
+``repro.cpu``) — the queueing model has to stay falsifiable against the
+production simulator, which it cannot be if it computes answers *with*
+that simulator.
 """
 
 from __future__ import annotations
@@ -47,156 +44,29 @@ from collections import deque
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.batch import pack_batch
-from repro.oracle import analytic
+from repro.schemes.pricing import precompute_write_service
 from repro.trace.record import OP_WRITE, Trace
 
 __all__ = [
-    "PRICED_SCHEMES",
     "model_cell",
     "price_cell",
     "price_write_service",
 ]
-
-#: Schemes the pricer covers — a subset of the production registry
-#: (pinned by tests); an unknown name routes the cell to the DES with
-#: the ``unpriced-scheme`` envelope reason (currently only ``palp``,
-#: whose min-of-two-plans packing has no vectorized pricer yet).
-PRICED_SCHEMES = frozenset(
-    {
-        "conventional",
-        "dcw",
-        "flip_n_write",
-        "two_stage",
-        "three_stage",
-        "tetris",
-        "tetris_relaxed",
-        "preset",
-        "wire",
-        "datacon",
-    }
-)
-
-#: Schemes that pay the read-before-write (``WriteScheme.requires_read``).
-_READ_SCHEMES = frozenset(
-    {"dcw", "flip_n_write", "three_stage", "tetris", "tetris_relaxed",
-     "wire", "datacon"}
-)
-
-#: Schemes that pay the analysis stage on every write.
-_ANALYSIS_SCHEMES = frozenset({"tetris", "tetris_relaxed"})
-
-#: Mirror of ``EnergyModel.read_energy_per_line`` (not a config knob).
-READ_ENERGY_PER_LINE = 10.0
-
-#: Mirror of ``precompute_write_service``'s PreSET expectation: random
-#: line content has ~half zeros per 64-bit unit.
-PRESET_EXPECTED_ZEROS = 32
 
 #: Mirror of ``MemoryController.forward_latency_ns`` (constructor
 #: default; the sweep path never overrides it).
 FWD_LATENCY_NS = 1.0
 
 
-# ----------------------------------------------------------------------
-# Write-service pricing: the precompute_write_service mirror.
-# ----------------------------------------------------------------------
 def price_write_service(
     trace: Trace, scheme: str, config: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-write ``(service_ns, units, energy)`` for one (trace, scheme).
 
-    Reproduces ``precompute_write_service(trace, scheme, config)`` (no
-    variation, no adaptive analysis — the sweep engine's exact call)
-    without touching ``repro.pcm`` / ``repro.schemes``.
+    The shared write-service table, exactly as the DES lane prices it.
     """
-    if scheme not in PRICED_SCHEMES:
-        raise KeyError(f"no analytic pricing for scheme {scheme!r}")
-    point = analytic.OperatingPoint.from_config(config)
-    n_writes = trace.n_writes
-    n_set = trace.write_counts[..., 0].astype(np.int64)
-    n_reset = trace.write_counts[..., 1].astype(np.int64)
-    changed_set = n_set.sum(axis=1)
-    changed_reset = n_reset.sum(axis=1)
-    cells_per_line = trace.units_per_line * config.data_unit_bits
-    e_set = 1.0 * config.timings.t_set_ns
-    e_reset = config.L * config.timings.t_reset_ns
-    read_energy = READ_ENERGY_PER_LINE if scheme in _READ_SCHEMES else 0.0
-    t_read = config.timings.t_read_ns
-    t_set = config.timings.t_set_ns
-
-    if scheme == "preset":
-        n_zero = np.full(
-            (n_writes, trace.units_per_line), PRESET_EXPECTED_ZEROS, dtype=np.int64
-        )
-        packed = pack_batch(
-            np.zeros_like(n_zero),
-            n_zero,
-            K=config.K,
-            L=config.L,
-            power_budget=config.bank_power_budget,
-            allow_split=True,
-        )
-        units = packed.service_units()
-        service = units * t_set
-        cells = n_zero.sum(axis=1).astype(np.float64)
-        energy = cells * (e_reset + e_set)
-    elif scheme == "tetris_relaxed":
-        units = np.array(
-            [
-                analytic.tetris_relaxed_units(n_set[w], n_reset[w], point)
-                for w in range(n_writes)
-            ]
-        )
-        service = t_read + config.analysis_overhead_ns + units * t_set
-        energy = _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-    elif scheme == "datacon":
-        # One conventional per-data-unit share per dirty unit; energy is
-        # DCW's (changed cells, plain encoding).
-        dirty = np.count_nonzero(n_set + n_reset, axis=1)
-        per_dirty = config.units_per_line / config.data_units_per_line
-        units = dirty.astype(np.float64) * per_dirty
-        service = t_read + units * t_set
-        energy = _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-    elif scheme == "tetris":
-        packed = pack_batch(
-            n_set,
-            n_reset,
-            K=config.K,
-            L=config.L,
-            power_budget=config.bank_power_budget,
-            allow_split=True,
-        )
-        units = packed.service_units()
-        service = t_read + config.analysis_overhead_ns + units * t_set
-        energy = _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-    else:
-        wc_units = analytic.worst_case_units(scheme, point)
-        units = np.full(n_writes, wc_units)
-        read = t_read if scheme in _READ_SCHEMES else 0.0
-        service = np.full(n_writes, read + wc_units * t_set)
-        if scheme in ("conventional", "two_stage"):
-            half = cells_per_line / 2.0
-            energy = np.full(n_writes, float(_write_energy(half, half, e_set, e_reset)))
-            energy += read_energy
-        else:
-            energy = (
-                _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-            )
-
-    return (
-        np.asarray(service, dtype=np.float64),
-        np.asarray(units, dtype=np.float64),
-        np.asarray(energy, dtype=np.float64),
-    )
-
-
-def _write_energy(n_set_bits, n_reset_bits, e_set: float, e_reset: float):
-    """Mirror of ``EnergyModel.write_energy`` (same dtype discipline)."""
-    return (
-        np.asarray(n_set_bits, dtype=np.float64) * e_set
-        + np.asarray(n_reset_bits, dtype=np.float64) * e_reset
-    )
+    table = precompute_write_service(trace, scheme, config)
+    return table.service_ns, table.units, table.energy
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,21 @@ scheme, the demand vector, all three values and the first write unit at
 which the timelines part ways — enough to turn straight into a pinned
 regression fixture under ``tests/fixtures/oracle/``.
 
-Two lanes:
+Three lanes:
 
 * the **scheduler lane** drives ``TetrisScheduler`` (and the batch packer
   and generalized packer) directly at several (K, L, budget) operating
   points, including budgets small enough to force burst splitting —
   corners the paper-point write path can never reach;
-* the **write lane** drives all eight registered schemes end-to-end at
-  the paper configuration, realizing each demand vector as an actual
-  ``(stored image, new data)`` pair.
+* the **write lane** drives every registered scheme end-to-end at the
+  paper configuration, realizing each demand vector as an actual
+  ``(stored image, new data)`` pair;
+* the **table lane** prices the demand vectors as one synthetic trace
+  through the write-service table both sweep lanes share
+  (:func:`repro.schemes.pricing.precompute_write_service`) and checks
+  every write's units and service time against the analytic model, at
+  the paper configuration and at a mobile one whose budget forces
+  burst splitting.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.config import SystemConfig, default_config
+from repro.config import SystemConfig, default_config, mobile_config
 from repro.core.analysis import TetrisScheduler
 from repro.core.batch import pack_batch
 from repro.core.generalized import (
@@ -46,7 +52,9 @@ from repro.core.schedule import TetrisSchedule
 from repro.oracle import analytic
 from repro.pcm.state import LineState
 from repro.schemes import SCHEME_REGISTRY, get_scheme
+from repro.schemes.pricing import PRESET_ZEROS_PER_UNIT, precompute_write_service
 from repro.sim.engine import Simulator
+from repro.trace.record import OP_WRITE, RECORD_DTYPE, Trace
 
 __all__ = [
     "Divergence",
@@ -83,7 +91,7 @@ class Divergence:
     """One disagreement between the three service-time answers."""
 
     scheme: str
-    lane: str                 # "scheduler" | "write" | "batch" | "relaxed"
+    lane: str                 # "scheduler" | "write" | "batch" | "relaxed" | "table"
     kind: str                 # which pair disagreed, or which invariant broke
     point: dict               # the operating point (K, L, budget, ...)
     n_set: tuple[int, ...]
@@ -533,6 +541,63 @@ def _check_write_scheme(
 
 
 # ----------------------------------------------------------------------
+# Lane 3: the write-service table both sweep lanes price from.
+# ----------------------------------------------------------------------
+def _counts_trace(n_set: np.ndarray, n_reset: np.ndarray) -> Trace:
+    """A write-only trace whose per-write counts are the given vectors."""
+    records = np.zeros(len(n_set), dtype=RECORD_DTYPE)
+    records["op"] = OP_WRITE
+    records["line"] = np.arange(len(n_set))
+    return Trace(
+        workload="oracle-table",
+        seed=0,
+        records=records,
+        write_counts=np.stack([n_set, n_reset], axis=-1).astype(np.uint8),
+        units_per_line=n_set.shape[1],
+    )
+
+
+def _check_table_scheme(
+    name: str,
+    config: SystemConfig,
+    vectors: Sequence[tuple[np.ndarray, np.ndarray]],
+    divergences: list[Divergence],
+) -> int:
+    point = analytic.OperatingPoint.from_config(config)
+    point_dict = {
+        "K": point.K, "L": point.L, "budget": point.budget,
+        "write_units": point.write_units,
+    }
+    n_set = np.stack([s for s, _ in vectors])
+    n_reset = np.stack([r for _, r in vectors])
+    table = precompute_write_service(_counts_trace(n_set, n_reset), name, config)
+    n_zero = [PRESET_ZEROS_PER_UNIT] * n_set.shape[1]
+    for w in range(len(vectors)):
+        expected = analytic.scheme_units(
+            name, point, n_set=n_set[w].tolist(), n_reset=n_reset[w].tolist(),
+            n_zero=n_zero,
+        )
+        expected_service = analytic.service_ns(name, expected, point)
+        got, got_service = float(table.units[w]), float(table.service_ns[w])
+        units_bad = abs(got - expected) > _TOL
+        if units_bad or abs(got_service - expected_service) > _TOL:
+            divergences.append(Divergence(
+                scheme=name,
+                lane="table",
+                kind="units_vs_analytic" if units_bad else "service_vs_analytic",
+                point=point_dict,
+                n_set=tuple(int(x) for x in n_set[w]),
+                n_reset=tuple(int(x) for x in n_reset[w]),
+                analytic=expected if units_bad else expected_service,
+                reported=got if units_bad else got_service,
+                executed=None,
+                first_bad_unit=_first_bad_unit(expected, got),
+                detail="write-service table disagrees with the Eq. 1-5 model",
+            ))
+    return len(vectors)
+
+
+# ----------------------------------------------------------------------
 # Entry point.
 # ----------------------------------------------------------------------
 def run_differential(
@@ -542,12 +607,13 @@ def run_differential(
     seed: int = 0,
     config: SystemConfig | None = None,
 ) -> DifferentialReport:
-    """Run both lanes; return a report with every divergence found.
+    """Run all three lanes; return a report with every divergence found.
 
     ``cases`` scales the *random* vector volume (the exhaustive grids
     and corner cases always run).  Roughly half the random budget goes
     to the scheduler lane (split across its operating points), half to
-    the write lane (split across the schemes).
+    the write lane (split across the schemes); the table lane draws as
+    many vectors per scheme and configuration as the write lane.
     """
     if schemes is None:
         schemes = sorted(SCHEME_REGISTRY)
@@ -586,5 +652,21 @@ def run_differential(
             name, config, vectors, report.divergences
         )
     report.lane_cases["write"] = n_write
-    report.cases = n_sched + n_write
+
+    # Lane 3: the shared write-service table, at the paper point and at
+    # a mobile point whose budget splits bursts.
+    n_table = 0
+    for table_config in (config, mobile_config()):
+        half = table_config.data_unit_bits // 2
+        for name in schemes:
+            vectors = generate_vectors(
+                rng, units=table_config.data_units_per_line,
+                max_per_unit=half, K=table_config.K, L=table_config.L,
+                budget=table_config.bank_power_budget, n_random=per_scheme,
+            )
+            n_table += _check_table_scheme(
+                name, table_config, vectors, report.divergences
+            )
+    report.lane_cases["table"] = n_table
+    report.cases = n_sched + n_write + n_table
     return report

@@ -26,8 +26,8 @@ infeasible and the controller always issues the serial plan.
 Like Tetris, PALP pays the read stage and the analysis overhead (it
 runs Algorithm 2 twice, but the two packs are independent hardware
 passes over the same counts, so the measured 41-cycle overhead is
-unchanged).  PALP has no analytic fastpath pricer yet — sweeps route it
-to the DES lane with the ``unpriced-scheme`` envelope reason.
+unchanged).  Sweeps price it on either lane from the shared write-service
+table (:mod:`repro.schemes.pricing`), which packs both plans vectorized.
 """
 
 from __future__ import annotations

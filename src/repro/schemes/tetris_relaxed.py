@@ -9,8 +9,9 @@ paper's operating point, which is itself a result: Algorithm 2's
 hardware simplicity is free.
 
 Registered as ``"tetris_relaxed"``; usable anywhere a scheme name is
-accepted (note the full-system precompute path falls back to per-write
-Python packing for it, so it is slower to price than ``"tetris"``).
+accepted.  Whole traces are priced by the vectorized earliest-fit packer
+:func:`repro.core.batch.relaxed_subslots_batch`, which matches this
+scheme's per-write schedules exactly.
 """
 
 from __future__ import annotations

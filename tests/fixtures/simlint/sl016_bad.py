@@ -1,19 +1,20 @@
 """SL016 bad fixture.
 
-Linted as ``repro.fastpath.pricer``: every simulator import below is a
-violation — an analytic lane that calls the DES it is differentially
-rechecked against certifies nothing.
+Linted as ``repro.fastpath.pricer``: every DES import below is a
+violation — an analytic queueing model that calls the event loop,
+controller or cores it is differentially rechecked against certifies
+nothing.
 """
 
 import repro.sim  # BAD: the event-driven simulator itself
-import repro.schemes.tetris  # BAD: a production write scheme
-from repro.pcm.state import LineState  # BAD: device state model
-from repro.schemes import get_scheme  # BAD: scheme registry
+import repro.memctrl.controller  # BAD: the DES memory controller
+from repro.cpu.system import CMPSystem  # BAD: the DES cores
+from repro.memctrl.frfcfs import FRFCFSPolicy  # BAD: DES scheduling policy
 from repro.sim.engine import EventQueue  # BAD: DES engine internals
 
 
-def price_with_the_simulator(trace, config):
-    # A "fastpath" that answers by running the production scheme makes
+def model_with_the_simulator(trace, config, service):
+    # A "fastpath" that answers by running the production system makes
     # the recheck compare the simulator against itself.
-    scheme = get_scheme("tetris", config)
-    return scheme, LineState, EventQueue
+    system = CMPSystem(trace, config, service)
+    return system, FRFCFSPolicy, EventQueue

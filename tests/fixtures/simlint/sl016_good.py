@@ -1,26 +1,22 @@
 """SL016 good fixture: an analytic lane with the right dependencies.
 
 Linted as ``repro.fastpath.pricer``: shared *inputs* (config schema,
-batch packing) and the independent oracle are fine — only the simulator
-packages under differential test are off limits.
+the write-service table both lanes price from) and the independent
+oracle are fine — only the DES under differential test is off limits.
 """
 
 import heapq
 from collections import deque
 
-import numpy as np
-
 from repro.config import SystemConfig
-from repro.core.batch import pack_batch
 from repro.oracle import analytic
+from repro.schemes.pricing import precompute_write_service
 
 
-def price_line(n_set: np.ndarray, n_reset: np.ndarray, config: SystemConfig):
+def price_writes(trace, scheme: str, config: SystemConfig):
     point = analytic.OperatingPoint.from_config(config)
-    packed = pack_batch(
-        n_set[None, :], n_reset[None, :], l_ratio=point.L, budget=point.budget
-    )
-    return packed
+    table = precompute_write_service(trace, scheme, config)
+    return table.service_ns, point
 
 
 def merge_arrivals(per_core_times: list) -> list:

@@ -1,8 +1,11 @@
-"""The vectorized packer must agree with the scalar Algorithm 2.
+"""The vectorized packers must agree with their scalar references.
 
 This is the load-bearing equivalence of the fast experiment path: the
 (result, subresult) pair from :func:`repro.core.batch.pack_batch` must be
-bit-for-bit what the scalar scheduler produces for every row.
+bit-for-bit what the scalar scheduler produces for every row, and the
+unaligned packer :func:`repro.core.batch.relaxed_subslots_batch` must
+place exactly as many sub-slots as ``GeneralizedScheduler`` and the
+oracle's independent earliest-fit packer.
 """
 
 import numpy as np
@@ -10,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import TetrisScheduler
-from repro.core.batch import pack_batch, service_units_batch
+from repro.core.batch import pack_batch, relaxed_subslots_batch, service_units_batch
+from repro.core.generalized import BurstClass, GeneralizedScheduler
+from repro.oracle import analytic
 
 counts_matrix = st.lists(
     st.lists(st.integers(min_value=0, max_value=32), min_size=8, max_size=8),
@@ -91,6 +96,85 @@ class TestEquivalence:
             )
             assert packed.result[i] == r, f"row {i}: result mismatch"
             assert packed.subresult[i] == s, f"row {i}: subresult mismatch"
+
+
+def relaxed_references(n_set, n_reset, K, L, budget):
+    """(GeneralizedScheduler, oracle) sub-slot counts for one write."""
+    sched = GeneralizedScheduler(budget, 1.0).schedule({
+        BurstClass("write1", K, 1.0): np.asarray(n_set),
+        BurstClass("write0", 1, L): np.asarray(n_reset),
+    })
+    point = analytic.OperatingPoint(K=K, L=L, budget=budget)
+    oracle = analytic.tetris_relaxed_subslots(list(n_set), list(n_reset), point)
+    return sched.total_subslots, oracle
+
+
+class TestRelaxedEquivalence:
+    def _check(self, n_set, n_reset, K=8, L=2.0, budget=128.0):
+        n_set, n_reset = np.asarray(n_set), np.asarray(n_reset)
+        got = relaxed_subslots_batch(n_set, n_reset, K=K, L=L, power_budget=budget)
+        for i in range(len(n_set)):
+            sched, oracle = relaxed_references(n_set[i], n_reset[i], K, L, budget)
+            assert got[i] == sched == oracle, f"row {i}: {got[i]} {sched} {oracle}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts_matrix,
+        counts_matrix,
+        st.sampled_from([17.0, 40.0, 64.0, 128.0]),
+        st.sampled_from([2.0, 3.0]),
+    )
+    def test_matches_references_across_budgets(self, m_set, m_reset, budget, L):
+        n = min(len(m_set), len(m_reset))
+        self._check(m_set[:n], m_reset[:n], L=L, budget=budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts_matrix,
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([(6.5, 1.5), (9.0, 3.0), (12.0, 2.0), (128.0, 2.0)]),
+    )
+    def test_matches_references_across_k(self, m, K, point):
+        budget, L = point
+        self._check(m, m[::-1], K=K, L=L, budget=budget)
+
+    @pytest.mark.parametrize("budget", [17.0, 40.0, 64.0, 128.0])
+    @pytest.mark.parametrize("L", [2.0, 3.0])
+    def test_adversarial_rows(self, budget, L):
+        zero, full = [0] * 8, [32] * 8
+        rows = [
+            (zero, zero),                       # silent write
+            (full, zero),                       # all-maximum SET
+            (zero, full),                       # all-maximum RESET
+            (full, full),                       # both passes at maximum
+            ([32] + [0] * 7, [0] * 7 + [32]),   # one burst per pass
+            ([1] * 8, [31] * 8),                # many small bursts
+        ]
+        self._check([r[0] for r in rows], [r[1] for r in rows], L=L, budget=budget)
+
+    def test_burst_chunking_beyond_the_budget(self):
+        # 32 cells at L = 3 draw 96, six times a budget of 17: every
+        # burst splits into five-cell chunks.
+        self._check([[32] * 8, [7] * 8], [[32] * 8, [0] * 8], L=3.0, budget=17.0)
+
+    def test_scheme_prices_a_trace_like_its_per_write_schedule(self):
+        from repro.config import default_config
+        from repro.schemes import get_scheme
+
+        cfg = default_config()
+        scheme = get_scheme("tetris_relaxed", cfg)
+        rng = np.random.default_rng(5)
+        n_set = rng.integers(0, 17, size=(40, 8))
+        n_reset = rng.integers(0, 17, size=(40, 8))
+        units = relaxed_subslots_batch(n_set, n_reset) / cfg.K
+        expected = [
+            scheme.service_units_for_counts(n_set[i], n_reset[i]) for i in range(40)
+        ]
+        assert units.tolist() == expected
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            relaxed_subslots_batch(np.zeros((2, 8)), np.zeros((3, 8)))
 
 
 class TestBatchAPI:

@@ -36,6 +36,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tetris" in out and "dcw" in out  # baseline auto-included
 
+    def test_schemes_lists_the_registry(self, capsys, tmp_path):
+        import json
+
+        from repro.schemes import SCHEME_REGISTRY
+
+        out_file = tmp_path / "schemes.json"
+        assert main(["schemes", "--json", str(out_file)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == ["scheme", "read", "wc_units"]
+        assert len(lines) == len(SCHEME_REGISTRY) + 1  # + "wrote ..."
+        rows = json.loads(out_file.read_text())["schemes"]
+        assert [r["scheme"] for r in rows] == sorted(SCHEME_REGISTRY)
+        for r in rows:
+            assert set(r) == {"scheme", "requires_read", "worst_case_units"}
+        by = {r["scheme"]: r for r in rows}
+        assert by["palp"]["requires_read"] and not by["preset"]["requires_read"]
+
+    def test_oracle_reports_the_table_lane(self, capsys):
+        assert main(["oracle", "--schemes", "palp", "--cases", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "table: " in out and "0 divergences" in out
+
     def test_diagram_fig4(self, capsys):
         assert main(["diagram", "--fig4"]) == 0
         out = capsys.readouterr().out

@@ -3,8 +3,8 @@
 The load-bearing guarantees (ISSUE 9):
 
 * the envelope routes every unverified regime (faults, ablation knobs,
-  supplied traces, unpriced schemes) to the DES, and ``force`` raises a
-  structured error instead of silently pricing outside it;
+  supplied traces) to the DES, and ``force`` raises a structured error
+  instead of silently pricing outside it;
 * ``REPRO_NO_FASTPATH=1`` / ``fastpath="off"`` keep rows byte-identical
   to the pre-fastpath engine, and ``REPRO_NO_VECTOR=1`` selects scalar
   kernels that are bit-identical to the vectorized ones;
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -27,13 +26,10 @@ from repro.fastpath import (
     CERTIFICATE_VERSION,
     FIELD_TOLERANCES,
     FastpathEnvelopeError,
-    PRICED_SCHEMES,
     classify,
     select_recheck_indices,
 )
-from repro.fastpath.pricer import READ_ENERGY_PER_LINE
 from repro.parallel import ResultCache, SweepEngine
-from repro.pcm.energy import EnergyModel
 from repro.pcm.state import cell_diff, cell_diff_batch
 from repro.schemes import SCHEME_REGISTRY
 from repro.util import kernelstats
@@ -68,24 +64,18 @@ def _cfg(**nested):
 # ----------------------------------------------------------------------
 def test_default_config_is_inside_for_every_priced_scheme():
     cfg = default_config()
-    for scheme in sorted(PRICED_SCHEMES):
+    for scheme in sorted(SCHEME_REGISTRY):
         decision = classify(cfg, scheme)
         assert decision.inside and decision.reasons == ()
 
 
 def test_priced_schemes_cover_the_registry_exactly():
-    # Every priced scheme must be registered (one priced but
-    # unregistered could never be validated), and the deliberately
-    # DES-only remainder is pinned so a new scheme registered without a
-    # pricer can't silently fall back to DES forever unnoticed.
-    assert PRICED_SCHEMES <= set(SCHEME_REGISTRY)
-    assert set(SCHEME_REGISTRY) - PRICED_SCHEMES == {"palp"}
-
-
-def test_unpriced_scheme_routes_to_des():
-    decision = classify(default_config(), "mlc_tetris")
-    assert not decision.inside
-    assert "unpriced-scheme" in decision.reasons
+    # Both lanes price from one write-service table, so every registered
+    # scheme can be forced onto the analytic lane.
+    eng = SweepEngine(requests_per_core=REQUESTS, cache=False, fastpath="force")
+    planned = eng.plan(tuple(sorted(SCHEME_REGISTRY)), ("dedup",))
+    assert {pc.cell.scheme for pc in planned} == set(SCHEME_REGISTRY)
+    assert {pc.lane for pc in planned} == {"fastpath"}
 
 
 @pytest.mark.parametrize(
@@ -119,10 +109,9 @@ def test_reasons_accumulate():
         faults={"enabled": True},
         memctrl={"write_pausing": True, "drain_order": "sjf"},
     )
-    decision = classify(cfg, "mlc_tetris")
+    decision = classify(cfg, "tetris")
     assert set(decision.reasons) >= {
-        "unpriced-scheme", "faults-enabled", "write-pausing",
-        "drain-order-not-fifo",
+        "faults-enabled", "write-pausing", "drain-order-not-fifo",
     }
 
 
@@ -385,25 +374,6 @@ def test_scalar_kernels_reproduce_a_functional_run(monkeypatch):
     ref = run_fullsystem(trace, "tetris", functional=True)
     for name in ("runtime_ns", "ipc", "mean_write_latency_ns"):
         assert getattr(ref, name) == getattr(vec, name), name  # exact
-
-
-# ----------------------------------------------------------------------
-# Constants pinned to the models they mirror.
-# ----------------------------------------------------------------------
-def test_pricer_constants_match_the_energy_model():
-    # Exact pins (tolerance 0): the pricer hard-codes these mirrors.
-    exact = dict(rel_tol=0.0, abs_tol=0.0)
-    assert math.isclose(
-        READ_ENERGY_PER_LINE, EnergyModel().read_energy_per_line, **exact
-    )
-    cfg = default_config()
-    model = EnergyModel(
-        t_set_ns=cfg.timings.t_set_ns,
-        t_reset_ns=cfg.timings.t_reset_ns,
-        reset_current_ratio=cfg.L,
-    )
-    assert math.isclose(model.e_set, cfg.timings.t_set_ns, **exact)
-    assert math.isclose(model.e_reset, cfg.L * cfg.timings.t_reset_ns, **exact)
 
 
 # ----------------------------------------------------------------------

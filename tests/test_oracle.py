@@ -171,6 +171,31 @@ class TestDifferentialHarness:
         with pytest.raises(KeyError):
             run_differential(["nope"], cases=4)
 
+    def test_table_lane_covers_every_scheme(self):
+        report = run_differential(cases=22, seed=5)
+        assert report.ok, [d.to_dict() for d in report.divergences]
+        # Every scheme is priced at two configurations, corners included.
+        assert report.lane_cases["table"] >= 2 * len(SCHEME_REGISTRY) * 8
+        assert report.cases == sum(report.lane_cases.values())
+
+    def test_table_lane_catches_a_mispriced_scheme(self, monkeypatch):
+        from repro.oracle import differential
+
+        real = differential.precompute_write_service
+
+        def palp_forgets_its_read(trace, scheme, config):
+            table = real(trace, scheme, config)
+            if scheme == "palp":
+                table.service_ns[:] -= config.timings.t_read_ns
+            return table
+
+        monkeypatch.setattr(
+            differential, "precompute_write_service", palp_forgets_its_read
+        )
+        report = run_differential(["palp", "tetris"], cases=8, seed=1)
+        bad = {(d.scheme, d.lane, d.kind) for d in report.divergences}
+        assert bad == {("palp", "table", "service_vs_analytic")}
+
     def test_metamorphic_smoke(self):
         result = run_metamorphic(trials=60, seed=4)
         assert result["ok"], result["violations"]

@@ -2,9 +2,8 @@
 
 Covers the cross-paper schemes' headline guarantees at unit level —
 WIRE's energy dominance over Flip-N-Write, DATACON's dirty-unit
-counting, PALP's min-of-two-plans packing — plus the fastpath envelope
-routing of unpriced schemes (``palp`` is deliberately DES-only until a
-vectorized pricer for its two-plan packing lands).
+counting, PALP's min-of-two-plans packing — plus PALP on the analytic
+fastpath lane, priced from the write-service table both lanes share.
 """
 
 from __future__ import annotations
@@ -13,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.fastpath import FastpathEnvelopeError, PRICED_SCHEMES, classify
+from repro.fastpath import classify
 from repro.oracle import analytic
 from repro.parallel import ResultCache, SweepEngine
 from repro.pcm.state import LineState
 from repro.schemes import SCHEME_REGISTRY, ZOO_SCHEMES, get_scheme
+from repro.trace.workloads import WORKLOAD_NAMES
 
 T_READ, T_RESET, T_SET = 50.0, 53.0, 430.0
 REQUESTS = 250
@@ -215,25 +215,26 @@ class TestPALP:
             assert got == pytest.approx(expected)
 
 
-class TestUnpricedSchemeRouting:
-    """Fastpath envelope routing for schemes without a pricer (palp)."""
+class TestPALPFastpath:
+    """PALP is priced from the shared write-service table like every
+    other scheme, so it runs on the analytic lane."""
 
-    def test_palp_classifies_outside_with_reason_tag(self):
-        assert "palp" not in PRICED_SCHEMES
+    def test_palp_classifies_inside(self):
         decision = classify(default_config(), "palp")
-        assert not decision.inside
-        assert decision.reasons == ("unpriced-scheme",)
+        assert decision.inside
+        assert decision.reasons == ()
 
-    def test_force_on_unpriced_scheme_is_structured_error(self):
+    def test_force_prices_palp_analytically(self):
         eng = SweepEngine(
-            requests_per_core=REQUESTS, cache=False, fastpath="force"
+            requests_per_core=REQUESTS, cache=False, fastpath="force",
+            recheck_fraction=0.0,
         )
-        with pytest.raises(FastpathEnvelopeError) as exc:
-            eng.plan(("palp",), ("dedup",))
-        assert exc.value.scheme == "palp"
-        assert "unpriced-scheme" in exc.value.reasons
+        res = eng.run(("palp",), ("dedup",))
+        res.raise_errors()
+        assert res.stats.fastpath_cells == 1
+        assert res.rows[0].events == 0  # analytically priced
 
-    def test_auto_routes_to_des_with_per_lane_stats(self, tmp_path):
+    def test_auto_prices_palp_on_the_fastpath(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         eng = SweepEngine(
             requests_per_core=REQUESTS, cache=cache, fastpath="auto",
@@ -242,19 +243,11 @@ class TestUnpricedSchemeRouting:
         res = eng.run(("palp", "wire"), ("dedup",))
         res.raise_errors()
         assert res.stats.cells == 2
-        assert res.stats.des_cells == 1
-        assert res.stats.fastpath_cells == 1
-        by = {c["scheme"]: c for c in res.certificate["cells"]}
-        assert by["palp"]["lane"] == "des"
-        assert by["palp"]["reasons"] == ["unpriced-scheme"]
-        assert by["wire"]["lane"] == "fastpath"
-        rows = {r.scheme: r for r in res.rows}
-        assert rows["palp"].events > 0  # really simulated
-        assert rows["wire"].events == 0  # analytically priced
-
-        # No cache-lane aliasing: the two cells live under distinct
-        # lanes, and a re-run is served from the right one for each.
-        assert cache.report()["by_lane"] == {"des": 1, "fastpath": 1}
+        assert res.stats.des_cells == 0
+        assert res.stats.fastpath_cells == 2
+        assert all(c["lane"] == "fastpath" and c["reasons"] == []
+                   for c in res.certificate["cells"])
+        assert cache.report()["by_lane"] == {"fastpath": 2}
         res2 = SweepEngine(
             requests_per_core=REQUESTS, cache=cache, fastpath="auto",
             recheck_fraction=0.0,
@@ -262,3 +255,15 @@ class TestUnpricedSchemeRouting:
         res2.raise_errors()
         assert res2.stats.cache_hits == 2
         assert res2.stats.executed == 0
+
+    @pytest.mark.parametrize("requests", [1000, 4000])
+    def test_lanes_agree_on_every_mix(self, requests):
+        eng = SweepEngine(
+            requests_per_core=requests, cache=False, fastpath="force",
+            recheck_fraction=1.0,
+        )
+        res = eng.run(("palp",), WORKLOAD_NAMES)
+        res.raise_errors()
+        assert res.stats.fastpath_cells == len(WORKLOAD_NAMES) == 8
+        assert res.stats.recheck_samples == len(WORKLOAD_NAMES)
+        assert res.stats.recheck_divergences == 0, res.certificate["rechecks"]

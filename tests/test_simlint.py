@@ -135,6 +135,24 @@ def test_sl016_reverse_direction_and_exemptions():
     )
 
 
+def test_sl016_fastpath_shares_the_pricing_table_not_the_des():
+    # The write-service table is shared by both lanes on purpose...
+    table = "from repro.schemes.pricing import precompute_write_service\n"
+    assert "SL016" not in rules_fired(
+        lint_source(table, module="repro.fastpath.pricer")
+    )
+    # ...but the controller and cores the recheck runs stay off limits,
+    for des in ("repro.memctrl.controller", "repro.cpu.system"):
+        src = f"import {des}\n"
+        assert "SL016" in rules_fired(
+            lint_source(src, module="repro.fastpath.pricer")
+        ), des
+    # and neither may consume the analytic lane.
+    consume = "from repro.fastpath import price_cell\n"
+    for module in ("repro.memctrl.controller", "repro.cpu.system"):
+        assert "SL016" in rules_fired(lint_source(consume, module=module))
+
+
 def test_sl006_scoped_to_core_and_schemes():
     src = (FIXTURES / "sl006_bad.py").read_text()
     assert "SL006" in rules_fired(lint_source(src, module="repro.schemes.x"))

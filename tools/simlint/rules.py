@@ -44,10 +44,10 @@ SL015  async hygiene — no blocking calls (``time.sleep``,
        ``subprocess.*``, sync socket/select waits, ``os.fsync``, bare
        ``open``) inside ``async def`` in ``repro.service``; blocking
        work goes through ``loop.run_in_executor``
-SL016  lane independence — ``repro.fastpath`` must not import the
-       simulator (``repro.sim``/``repro.pcm``/``repro.schemes``) and
-       the simulator must not import the fastpath; the differential
-       recheck module and ``repro.cli`` are the sanctioned bridges
+SL016  lane independence — ``repro.fastpath`` must not import the DES
+       (``repro.sim``/``repro.memctrl``/``repro.cpu``) and simulator
+       code must not import the fastpath; the differential recheck
+       module and ``repro.cli`` are the sanctioned bridges
 ====== ==============================================================
 """
 
@@ -874,7 +874,7 @@ class OracleIndependenceRule(LintRule):
       ``repro.oracle`` would invert the dependency — a scheme computing
       its latency *from* the oracle makes the cross-check a tautology.
       Only ``repro.cli`` (reporting) and ``repro.fastpath`` (the
-      analytic sweep lane, itself barred from simulator imports by
+      analytic sweep lane, itself barred from DES imports by
       SL016) may depend on the oracle package.
     """
 
@@ -1771,26 +1771,27 @@ class BlockingAsyncCallRule(LintRule):
 # SL016 — lane independence: fastpath and simulator must not share code.
 # ----------------------------------------------------------------------
 class LaneIndependenceRule(LintRule):
-    """The analytic sweep lane only certifies what it does not share.
+    """The analytic queueing model only certifies what it does not share.
 
     ``repro.fastpath`` prices grid cells without running the DES; its
     rows are trusted because the sampled differential recheck re-runs
-    them through the *independent* simulator and compares under the
-    agreement bands (docs/ORACLE.md).  Two import directions would
-    quietly turn that certificate into a tautology:
+    them through the *independent* event-driven simulator and compares
+    under the agreement bands (docs/ORACLE.md).  Two import directions
+    would quietly turn that certificate into a tautology:
 
-    * **fastpath -> simulator**: the pricer importing ``repro.sim`` /
-      ``repro.pcm`` / ``repro.schemes`` would let it answer by calling
-      the very code the recheck is supposed to validate it against.
-      (``repro.core``/``repro.config`` stay shared on purpose — batch
-      packing and the config schema are *inputs* both lanes must agree
-      on bit-for-bit, not behaviour under test.)  The recheck module
-      is the sanctioned bridge: it crosses lanes through an injected
+    * **fastpath -> DES**: the queueing model importing ``repro.sim`` /
+      ``repro.memctrl`` / ``repro.cpu`` would let it answer by calling
+      the very event loop, controller and cores the recheck validates
+      it against.  The per-write prices are shared on purpose: both
+      lanes read one write-service table (``repro.schemes.pricing``),
+      and the oracle's table lane checks that table against the paper's
+      closed forms for every registered scheme.  The recheck module is
+      the sanctioned bridge: it crosses lanes through an injected
       callable, and is exempt here so it can type or drive DES rows
       directly if it ever needs to.
-    * **simulator -> fastpath**: a scheme or bank model importing the
-      fastpath would let production timing derive from the analytic
-      model it is differentially checked against.
+    * **simulator -> fastpath**: a scheme, bank model, controller or
+      core importing the fastpath would let production timing derive
+      from the analytic model it is differentially checked against.
 
     ``repro.cli`` reports both lanes and is exempt, like in SL010.
     """
@@ -1799,8 +1800,10 @@ class LaneIndependenceRule(LintRule):
     title = "fastpath/simulator lane-independence violation"
     node_types = (ast.Import, ast.ImportFrom)
 
-    #: simulator packages the analytic lane must never touch.
-    _SIM_PACKAGES = ("repro.sim", "repro.pcm", "repro.schemes")
+    #: the DES the analytic lane is rechecked against.
+    _DES_PACKAGES = ("repro.sim", "repro.memctrl", "repro.cpu")
+    #: simulator code that must never consume the analytic lane.
+    _SIM_PACKAGES = _DES_PACKAGES + ("repro.pcm", "repro.schemes")
     #: the sanctioned lane bridge (dependency-injected DES recheck).
     _BRIDGE = "repro.fastpath.recheck"
 
@@ -1822,15 +1825,14 @@ class LaneIndependenceRule(LintRule):
         for target in self._targets(node):
             if in_fastpath and not is_bridge and any(
                 target == p or target.startswith(p + ".")
-                for p in self._SIM_PACKAGES
+                for p in self._DES_PACKAGES
             ):
                 yield self.finding(
                     node,
                     ctx,
                     f"fastpath module {ctx.module} imports {target}; the "
-                    "analytic lane must stay independent of the simulator "
-                    "it is differentially rechecked against "
-                    "(docs/ORACLE.md)",
+                    "analytic lane must stay independent of the DES it is "
+                    "differentially rechecked against (docs/ORACLE.md)",
                 )
             elif in_simulator and (
                 target == "repro.fastpath"
