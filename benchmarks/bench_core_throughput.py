@@ -8,18 +8,18 @@ full-system DES run.  They track regressions rather than paper results.
 import numpy as np
 
 from repro.core.batch import pack_batch
-from repro.core.read_stage import read_stage_batch
+from repro.core.read_stage import read_stage
 from repro.experiments.fullsystem import precompute_write_service, run_fullsystem
 from repro.trace.synthetic import generate_trace
 
 
-def test_read_stage_batch_throughput(benchmark):
+def test_read_stage_throughput(benchmark):
     rng = np.random.default_rng(0)
     n = 20000
     old = rng.integers(0, 1 << 63, size=(n, 8), dtype=np.uint64)
     flips = np.zeros((n, 8), dtype=bool)
     new = old ^ rng.integers(0, 1 << 16, size=(n, 8), dtype=np.uint64)
-    result = benchmark(read_stage_batch, old, flips, new)
+    result = benchmark(read_stage, old, flips, new)
     assert result.n_set.shape == (n, 8)
 
 

@@ -8,10 +8,10 @@ Two ISSUE 9 acceptance gates, measured and enforced in one bench:
   envelope and zero differential-recheck divergences.  The two phases
   share one throwaway result store so the recheck's DES references are
   cache hits — the fastpath wall clock is the analytic lane's own cost.
-* **Vectorized read stage >= 3x.**  The numpy ``read_stage_batch``
-  kernel must beat the pure-Python scalar reference
-  (``REPRO_NO_VECTOR=1``) by at least 3x on a trace-sized payload
-  matrix, while staying bit-identical to it.
+* **Vectorized read stage >= 3x.**  The numpy ``read_stage`` kernel on
+  a trace-sized payload matrix must beat the pure-Python
+  ``read_stage_reference`` on the same units by at least 3x, while
+  staying bit-identical to it.
 
 Emits ``BENCH_fastpath.json`` at the repo root (the machine-readable
 sibling of ``BENCH_sweep.json``) plus the usual table under
@@ -21,7 +21,6 @@ sibling of ``BENCH_sweep.json``) plus the usual table under
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -30,11 +29,10 @@ import numpy as np
 
 from _bench_utils import SEED, emit
 
-from repro.core.read_stage import read_stage_batch
+from repro.core.read_stage import read_stage, read_stage_reference
 from repro.parallel import ResultCache, SweepEngine, code_salt
 from repro.schemes import COMPARED_SCHEMES
 from repro.trace.workloads import WORKLOAD_NAMES
-from repro.util import kernelstats
 
 WORKLOADS = tuple(WORKLOAD_NAMES)
 SCHEMES = ("dcw",) + tuple(COMPARED_SCHEMES)
@@ -83,28 +81,17 @@ def _measure_kernel() -> dict:
     new = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
     flip = rng.integers(0, 2, size=shape).astype(bool)
 
-    saved = os.environ.pop("REPRO_NO_VECTOR", None)
-    try:
-        before = kernelstats.snapshot()
-        t0 = time.perf_counter()
-        vec = read_stage_batch(old, flip, new)
-        vec_s = time.perf_counter() - t0
-        after = kernelstats.snapshot()
-        assert after["vectorized"] == before["vectorized"] + 1
+    t0 = time.perf_counter()
+    vec = read_stage(old, flip, new)
+    vec_s = time.perf_counter() - t0
 
-        os.environ["REPRO_NO_VECTOR"] = "1"
-        t0 = time.perf_counter()
-        ref = read_stage_batch(old, flip, new)
-        scalar_s = time.perf_counter() - t0
-        assert kernelstats.snapshot()["scalar"] == after["scalar"] + 1
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_VECTOR", None)
-        else:
-            os.environ["REPRO_NO_VECTOR"] = saved
+    t0 = time.perf_counter()
+    ref = read_stage_reference(old.ravel(), flip.ravel(), new.ravel())
+    scalar_s = time.perf_counter() - t0
 
     for field in ("flip", "physical", "n_set", "n_reset"):
-        assert np.array_equal(getattr(vec, field), getattr(ref, field)), (
+        got = getattr(vec, field).ravel()
+        assert np.array_equal(got, getattr(ref, field)), (
             f"vectorized read stage diverged from scalar reference: {field}"
         )
     return {
@@ -129,7 +116,7 @@ def test_fastpath_contracts():
         },
         "code_version": code_salt()[:16],
         "sweep": sweep,
-        "read_stage_batch": kernel,
+        "read_stage": kernel,
     }
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -148,7 +135,7 @@ def test_fastpath_contracts():
         f"sweep speedup:    {sweep['speedup']:.1f}x "
         f"(contract: >= {MIN_SWEEP_SPEEDUP:.0f}x)",
         "",
-        f"read_stage_batch {KERNEL_WRITES}x{KERNEL_UNITS}: "
+        f"read_stage {KERNEL_WRITES}x{KERNEL_UNITS}: "
         f"vector {kernel['vectorized_s'] * 1e3:.1f}ms, "
         f"scalar {kernel['scalar_s'] * 1e3:.1f}ms -> "
         f"{kernel['speedup']:.0f}x (contract: >= {MIN_KERNEL_SPEEDUP:.0f}x, "

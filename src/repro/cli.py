@@ -471,9 +471,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"lanes: {s.fastpath_cells} fastpath, {s.des_cells} DES, "
         f"{s.recheck_samples} recheck samples, "
-        f"{s.recheck_divergences} divergences; kernels: "
-        f"{s.vectorized_kernel_calls} vectorized, "
-        f"{s.scalar_kernel_calls} scalar"
+        f"{s.recheck_divergences} divergences"
     )
     if s.retries or s.timeouts or s.worker_deaths or s.serial_cells:
         print(

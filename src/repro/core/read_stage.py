@@ -9,11 +9,10 @@ actually be programmed.  After the choice, ``N1`` counts cells going
 0 -> 1 (SET / write-1) and ``N0`` counts cells going 1 -> 0 (RESET /
 write-0); those two vectors are all the analysis stage needs.
 
-Everything is vectorized over the data units of a cache line (and, for the
-trace pre-computation path, over *all* writes of a trace at once).  A
-pure-Python scalar reference path — bit-identical, selected process-wide
-by ``REPRO_NO_VECTOR=1`` — backs every vectorized kernel (see
-:mod:`repro.util.kernelstats`).
+Everything is elementwise over data units, so one call handles a cache
+line's units or a whole trace's ``(n_writes, units)`` payload matrix.
+:func:`read_stage_reference` is a pure-Python, bit-identical rendering of
+the same rule that tests and the CI kernel gate compare against.
 """
 
 from __future__ import annotations
@@ -22,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util import kernelstats
-from repro.util.bits import popcount64
-
-__all__ = ["ReadStageResult", "read_stage", "read_stage_batch", "cost_aware_flip"]
+__all__ = [
+    "ReadStageResult",
+    "read_stage",
+    "read_stage_reference",
+    "cost_aware_flip",
+]
 
 _U64 = np.uint64
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -67,7 +68,12 @@ def read_stage(
     unit_bits: int = 64,
     count_flip_bit: bool = False,
 ) -> ReadStageResult:
-    """Run Algorithm 1 over the data units of one cache line.
+    """Run Algorithm 1 elementwise over data units.
+
+    The three inputs may have any matching shape: ``(units,)`` for one
+    cache line, or ``(n_writes, units)`` for a whole trace's payload
+    matrix in one set of ufunc passes.  Every result array has the
+    input's shape.
 
     Parameters
     ----------
@@ -97,17 +103,6 @@ def read_stage(
     old_flip = np.atleast_1d(np.asarray(old_flip, dtype=bool))
     if not (old_physical.shape == new_logical.shape == old_flip.shape):
         raise ValueError("old/new/flip arrays must have matching shapes")
-
-    if kernelstats.use_scalar():
-        kernelstats.record("scalar")
-        return _read_stage_scalar(
-            old_physical,
-            old_flip,
-            new_logical,
-            unit_bits=unit_bits,
-            count_flip_bit=count_flip_bit,
-        )
-    kernelstats.record("vectorized")
 
     mask = _ONES if unit_bits == 64 else _U64((1 << unit_bits) - 1)
 
@@ -145,22 +140,23 @@ def read_stage(
     return ReadStageResult(flip=flip, physical=physical, n_set=n_set, n_reset=n_reset)
 
 
-def _read_stage_scalar(
+def read_stage_reference(
     old_physical: np.ndarray,
     old_flip: np.ndarray,
     new_logical: np.ndarray,
     *,
-    unit_bits: int,
-    count_flip_bit: bool,
+    unit_bits: int = 64,
+    count_flip_bit: bool = False,
 ) -> ReadStageResult:
-    """Pure-Python Algorithm 1 — the vectorized kernel's reference.
+    """Pure-Python Algorithm 1 over a 1-D array of data units.
 
-    Operates on builtin ints per data unit; must stay bit-identical to
-    the ufunc path (property-tested in ``tests/test_fastpath.py``).
+    Works on builtin ints, one unit at a time, and must stay
+    bit-identical to :func:`read_stage`.  Tests and the CI kernel gate
+    compare against it; no production path calls it.
     """
     mask = (1 << unit_bits) - 1
     threshold = (unit_bits + 1) // 2
-    n = old_physical.shape[0]
+    n = len(old_physical)
     flip = np.zeros(n, dtype=bool)
     physical = np.zeros(n, dtype=_U64)
     n_set = np.zeros(n, dtype=np.int64)
@@ -189,72 +185,6 @@ def _read_stage_scalar(
         "flip rule violated: more than half the cells would be programmed"
     )
     return ReadStageResult(flip=flip, physical=physical, n_set=n_set, n_reset=n_reset)
-
-
-def read_stage_batch(
-    old_physical: np.ndarray,
-    old_flip: np.ndarray,
-    new_logical: np.ndarray,
-    *,
-    unit_bits: int = 64,
-) -> ReadStageResult:
-    """Vectorized read stage over a whole trace: shape (n_writes, units).
-
-    Semantically identical to calling :func:`read_stage` per row, but one
-    set of ufunc passes over the full payload matrix.  Used by the trace
-    pre-computation path that turns a workload trace into per-write
-    service times before the discrete-event simulation starts.
-    """
-    old_physical = np.asarray(old_physical, dtype=_U64)
-    new_logical = np.asarray(new_logical, dtype=_U64)
-    old_flip = np.asarray(old_flip, dtype=bool)
-    if old_physical.ndim != 2:
-        raise ValueError("batch read stage expects (n_writes, units) matrices")
-
-    if kernelstats.use_scalar():
-        kernelstats.record("scalar")
-        rows = [
-            _read_stage_scalar(
-                old_physical[w],
-                old_flip[w],
-                new_logical[w],
-                unit_bits=unit_bits,
-                count_flip_bit=False,
-            )
-            for w in range(old_physical.shape[0])
-        ]
-        shape = old_physical.shape
-        return ReadStageResult(
-            flip=np.array([r.flip for r in rows], dtype=bool).reshape(shape),
-            physical=np.array([r.physical for r in rows], dtype=_U64).reshape(shape),
-            n_set=np.array([r.n_set for r in rows], dtype=np.int64).reshape(shape),
-            n_reset=np.array([r.n_reset for r in rows], dtype=np.int64).reshape(shape),
-        )
-    kernelstats.record("vectorized")
-
-    mask = _ONES if unit_bits == 64 else _U64((1 << unit_bits) - 1)
-    straight = new_logical & mask
-    flipped = ~new_logical & mask
-    old_physical = old_physical & mask
-
-    dist_straight = np.bitwise_count(old_physical ^ straight).astype(np.int64)
-    dist_straight += old_flip
-
-    flip = dist_straight > (unit_bits + 1) // 2
-    physical = np.where(flip, flipped, straight)
-    n_set = np.bitwise_count(~old_physical & physical & mask).astype(np.int64)
-    n_reset = np.bitwise_count(old_physical & ~physical).astype(np.int64)
-    return ReadStageResult(flip=flip, physical=physical, n_set=n_set, n_reset=n_reset)
-
-
-def popcount_line(units: np.ndarray) -> int:
-    """Convenience: total 1-bits across a line's data units."""
-    if kernelstats.use_scalar():
-        kernelstats.record("scalar")
-        flat = np.atleast_1d(np.asarray(units, dtype=_U64))
-        return sum(int(u).bit_count() for u in flat)
-    kernelstats.record("vectorized")
-    return int(np.asarray(popcount64(units)).sum())
 
 
 def cost_aware_flip(

@@ -74,7 +74,6 @@ from repro.parallel.resultcache import (
 from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor, WorkerTaskError
 from repro.trace.record import Trace
 from repro.trace.workloads import WORKLOAD_NAMES
-from repro.util import kernelstats
 
 __all__ = [
     "CellError",
@@ -242,10 +241,6 @@ class SweepStats:
     des_cells: int = 0
     recheck_samples: int = 0
     recheck_divergences: int = 0
-    # Kernel dispatch deltas observed in this (parent) process during the
-    # run; workers keep their own process-local counters.
-    vectorized_kernel_calls: int = 0
-    scalar_kernel_calls: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -266,8 +261,6 @@ class SweepStats:
             "des_cells": self.des_cells,
             "recheck_samples": self.recheck_samples,
             "recheck_divergences": self.recheck_divergences,
-            "vectorized_kernel_calls": self.vectorized_kernel_calls,
-            "scalar_kernel_calls": self.scalar_kernel_calls,
         }
 
 
@@ -499,8 +492,7 @@ class SweepEngine:
         runs every cell through the DES; ``"auto"`` prices
         envelope-inside cells analytically; ``"force"`` raises
         :class:`~repro.fastpath.FastpathEnvelopeError` for any cell the
-        envelope rejects.  ``REPRO_NO_FASTPATH=1`` overrides any mode
-        to ``"off"`` (kill switch).
+        envelope rejects.
     recheck_fraction:
         Fraction of fastpath cells re-run through the DES and compared
         under the agreement bands after the grid completes (seeded
@@ -612,20 +604,13 @@ class SweepEngine:
         """Code-version salt shared by cache and journal addressing."""
         return self.cache.salt if self.cache is not None else code_salt()
 
-    def fastpath_mode(self) -> str:
-        """Effective lane policy: the env kill switch beats the setting."""
-        if os.environ.get("REPRO_NO_FASTPATH", "") == "1":
-            return "off"
-        return self.fastpath
-
     def _lane_for(self, cell: SweepCell) -> tuple[str, tuple[str, ...]]:
-        """Assign a cell's execution lane under the effective policy.
+        """Assign a cell's execution lane under the ``fastpath`` policy.
 
         Returns ``(lane, reasons)``; ``reasons`` explains a DES routing
         (empty for fastpath cells) and lands in the run certificate.
         """
-        mode = self.fastpath_mode()
-        if mode == "off":
+        if self.fastpath == "off":
             return "des", ("fastpath-off",)
         decision = classify(
             self.variants[cell.variant],
@@ -634,7 +619,7 @@ class SweepEngine:
         )
         if decision.inside:
             return "fastpath", ()
-        if mode == "force":
+        if self.fastpath == "force":
             raise FastpathEnvelopeError(
                 cell.scheme, cell.workload, decision.reasons
             )
@@ -659,22 +644,28 @@ class SweepEngine:
             lane=lane,
         )
 
+    def _cell_meta(self, cell: SweepCell, lane: str | None = None) -> dict:
+        """Provenance stamped on a cache entry (with ``lane``) or a
+        journal line (without ``lane``).
+
+        Stamping the salt lets a later resume distinguish "journal from
+        other sources" (StaleJournalError) from "journal for a different
+        grid".
+        """
+        meta = {
+            "scheme": cell.scheme,
+            "workload": cell.workload,
+            "seed": cell.seed,
+            "variant": cell.variant,
+        }
+        if lane is not None:
+            meta["lane"] = lane
+        meta["salt"] = self._salt()
+        return meta
+
     def _journal_append(self, key: str, cell: SweepCell, row_dict: dict) -> None:
         if self.journal is not None:
-            self.journal.append(
-                key,
-                row_dict,
-                meta={
-                    "scheme": cell.scheme,
-                    "workload": cell.workload,
-                    "seed": cell.seed,
-                    "variant": cell.variant,
-                    # Stamping the salt lets a later resume distinguish
-                    # "journal from other sources" (StaleJournalError)
-                    # from "journal for a different grid".
-                    "salt": self._salt(),
-                },
-            )
+            self.journal.append(key, row_dict, meta=self._cell_meta(cell))
 
     # ------------------------------------------------------------------
     def plan(
@@ -740,7 +731,6 @@ class SweepEngine:
         from repro.experiments.runner import ExperimentResult
 
         start = time.perf_counter()
-        kernels_before = kernelstats.snapshot()
         self.supervisor = None
         planned = self.plan(tuple(schemes), tuple(workloads), seeds=seeds)
         cells = [pc.cell for pc in planned]
@@ -803,16 +793,7 @@ class SweepEngine:
                 row_dict = dataclasses.asdict(result)
                 if self.cache is not None and key is not None:
                     self.cache.put(
-                        key,
-                        row_dict,
-                        meta={
-                            "scheme": cell.scheme,
-                            "workload": cell.workload,
-                            "seed": cell.seed,
-                            "variant": cell.variant,
-                            "lane": lane,
-                            "salt": self.cache.salt,
-                        },
+                        key, row_dict, meta=self._cell_meta(cell, lane)
                     )
                 if jkey is not None:
                     self._journal_append(jkey, cell, row_dict)
@@ -825,7 +806,6 @@ class SweepEngine:
         ordered = [outcomes[i] for i in range(len(cells))]
         sup = self.supervisor
         counts = sup.counts() if sup is not None else {}
-        kernels_after = kernelstats.snapshot()
         stats = SweepStats(
             cells=len(cells),
             executed=len(pending),
@@ -845,12 +825,6 @@ class SweepEngine:
             recheck_samples=len(recheck_records),
             recheck_divergences=sum(
                 1 for r in recheck_records if r["divergences"]
-            ),
-            vectorized_kernel_calls=(
-                kernels_after["vectorized"] - kernels_before["vectorized"]
-            ),
-            scalar_kernel_calls=(
-                kernels_after["scalar"] - kernels_before["scalar"]
             ),
         )
         return SweepResult(outcomes=ordered, stats=stats, certificate=certificate)
@@ -898,16 +872,7 @@ class SweepEngine:
             row_dict = dataclasses.asdict(result)
             if des_key is not None:
                 self.cache.put(
-                    des_key,
-                    row_dict,
-                    meta={
-                        "scheme": pc.cell.scheme,
-                        "workload": pc.cell.workload,
-                        "seed": pc.cell.seed,
-                        "variant": pc.cell.variant,
-                        "lane": "des",
-                        "salt": self.cache.salt,
-                    },
+                    des_key, row_dict, meta=self._cell_meta(pc.cell, "des")
                 )
             return row_dict
 
@@ -954,7 +919,7 @@ class SweepEngine:
                 }
             )
         return build_certificate(
-            mode=self.fastpath_mode(),
+            mode=self.fastpath,
             recheck_fraction=self.recheck_fraction,
             cells=cert_cells,
             rechecks=recheck_records,
@@ -1032,7 +997,7 @@ def _map_task(payload: tuple):
     return fn(item)
 
 
-def parallel_map(fn, items, *, workers: int = 1, chunksize: int = 1) -> list:
+def parallel_map(fn, items, *, workers: int = 1) -> list:
     """Map ``fn`` over ``items`` preserving order, optionally in a pool.
 
     Unlike :class:`SweepEngine`, failures propagate immediately (the
@@ -1040,8 +1005,7 @@ def parallel_map(fn, items, *, workers: int = 1, chunksize: int = 1) -> list:
     experiment artifacts worth salvaging): a task exception is re-raised
     in the parent, and a worker death raises
     :class:`~repro.parallel.supervisor.WorkerTaskError`.  ``fn`` and
-    every item must be picklable when ``workers > 1``.  ``chunksize``
-    is accepted for backward compatibility; dispatch is per item.
+    every item must be picklable when ``workers > 1``.
     """
     items = list(items)
     if not items:

@@ -18,18 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.util import kernelstats
-
-__all__ = [
-    "LineState",
-    "MemoryImage",
-    "cell_diff",
-    "cell_diff_batch",
-    "initial_line_content",
-]
+__all__ = ["LineState", "MemoryImage", "cell_diff", "initial_line_content"]
 
 _U64 = np.uint64
-_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 @dataclass
@@ -62,56 +53,15 @@ def cell_diff(before: np.ndarray, after: np.ndarray) -> tuple[int, int]:
     """Count cell programs between two physical images.
 
     Returns ``(n_set, n_reset)``: the 0->1 and 1->0 transitions a write
-    driver must apply to turn ``before`` into ``after``.  Used by the
-    fault path to price verify-retry passes and by tests to cross-check
-    a scheme's reported program counts against the state it committed.
+    driver must apply to turn ``before`` into ``after``.  A checking
+    helper: tests use it to cross-check a scheme's reported program
+    counts against the state it committed.
     """
     b = np.atleast_1d(np.asarray(before, dtype=_U64))
     a = np.atleast_1d(np.asarray(after, dtype=_U64))
-    if kernelstats.use_scalar():
-        kernelstats.record("scalar")
-        n_set = n_reset = 0
-        for bu, au in zip(b, a):
-            diff = int(bu) ^ int(au)
-            n_set += (diff & int(au)).bit_count()
-            n_reset += (diff & int(bu)).bit_count()
-        return n_set, n_reset
-    kernelstats.record("vectorized")
     diff = b ^ a
     n_set = int(np.bitwise_count(diff & a).sum())
     n_reset = int(np.bitwise_count(diff & b).sum())
-    return n_set, n_reset
-
-
-def cell_diff_batch(
-    before: np.ndarray, after: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row :func:`cell_diff` over ``(n, units)`` image matrices.
-
-    Returns int64 ``(n_set, n_reset)`` arrays of length ``n`` — one ufunc
-    pass instead of ``n`` scalar calls for trace-scale image comparisons.
-    """
-    b = np.asarray(before, dtype=_U64)
-    a = np.asarray(after, dtype=_U64)
-    if b.ndim != 2 or b.shape != a.shape:
-        raise ValueError("cell_diff_batch expects matching (n, units) matrices")
-    if kernelstats.use_scalar():
-        kernelstats.record("scalar")
-        n_set = np.zeros(b.shape[0], dtype=np.int64)
-        n_reset = np.zeros(b.shape[0], dtype=np.int64)
-        for i in range(b.shape[0]):
-            s = r = 0
-            for bu, au in zip(b[i], a[i]):
-                diff = int(bu) ^ int(au)
-                s += (diff & int(au)).bit_count()
-                r += (diff & int(bu)).bit_count()
-            n_set[i] = s
-            n_reset[i] = r
-        return n_set, n_reset
-    kernelstats.record("vectorized")
-    diff = b ^ a
-    n_set = np.bitwise_count(diff & a).astype(np.int64).sum(axis=1)
-    n_reset = np.bitwise_count(diff & b).astype(np.int64).sum(axis=1)
     return n_set, n_reset
 
 

@@ -5,9 +5,9 @@ The load-bearing guarantees (ISSUE 9):
 * the envelope routes every unverified regime (faults, ablation knobs,
   supplied traces) to the DES, and ``force`` raises a structured error
   instead of silently pricing outside it;
-* ``REPRO_NO_FASTPATH=1`` / ``fastpath="off"`` keep rows byte-identical
-  to the pre-fastpath engine, and ``REPRO_NO_VECTOR=1`` selects scalar
-  kernels that are bit-identical to the vectorized ones;
+* ``fastpath="off"`` keeps rows byte-identical to the pre-fastpath
+  engine, and the vectorized bit kernels are bit-identical to their
+  pure-Python references;
 * every run emits a lane certificate, and a full differential recheck
   of a small grid shows zero divergences under the agreement bands.
 """
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.core.read_stage import popcount_line, read_stage, read_stage_batch
+from repro.core.read_stage import read_stage, read_stage_reference
 from repro.fastpath import (
     CERTIFICATE_VERSION,
     FIELD_TOLERANCES,
@@ -30,9 +30,8 @@ from repro.fastpath import (
     select_recheck_indices,
 )
 from repro.parallel import ResultCache, SweepEngine
-from repro.pcm.state import cell_diff, cell_diff_batch
+from repro.pcm.state import cell_diff
 from repro.schemes import SCHEME_REGISTRY
-from repro.util import kernelstats
 
 SCHEMES = ("dcw", "tetris", "flip_n_write")
 WORKLOADS = ("dedup", "vips")
@@ -160,20 +159,6 @@ def test_fastpath_off_marks_every_cell_des(legacy_rows):
     )
 
 
-def test_no_fastpath_env_overrides_auto_byte_identically(
-    legacy_rows, monkeypatch
-):
-    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    eng = SweepEngine(
-        requests_per_core=REQUESTS, cache=False, fastpath="auto"
-    )
-    assert eng.fastpath_mode() == "off"
-    res = eng.run(SCHEMES, WORKLOADS)
-    res.raise_errors()
-    assert res.stats.fastpath_cells == 0
-    assert row_bytes(res.rows) == row_bytes(legacy_rows.rows)
-
-
 def test_fastpath_rows_match_des_within_bands(legacy_rows):
     eng = SweepEngine(
         requests_per_core=REQUESTS, cache=False, fastpath="force",
@@ -293,87 +278,41 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("unit_bits", [64, 32])
 @pytest.mark.parametrize("count_flip_bit", [False, True])
-def test_scalar_read_stage_is_bit_identical(
-    monkeypatch, unit_bits, count_flip_bit
-):
+def test_scalar_read_stage_is_bit_identical(unit_bits, count_flip_bit):
     cases = _kernel_cases()
     flips = np.tile([False, True], cases.shape[1] // 2)
     for old in cases:
         for new in cases:
-            monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-            vec = read_stage(
-                old, flips, new,
-                unit_bits=unit_bits, count_flip_bit=count_flip_bit,
-            )
-            monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-            ref = read_stage(
-                old, flips, new,
-                unit_bits=unit_bits, count_flip_bit=count_flip_bit,
-            )
+            kw = dict(unit_bits=unit_bits, count_flip_bit=count_flip_bit)
+            vec = read_stage(old, flips, new, **kw)
+            ref = read_stage_reference(old, flips, new, **kw)
             for name in ("flip", "physical", "n_set", "n_reset"):
                 assert np.array_equal(
                     getattr(vec, name), getattr(ref, name)
                 ), f"{name} diverged (unit_bits={unit_bits})"
 
 
-def test_scalar_batch_and_diff_kernels_are_bit_identical(monkeypatch):
+def _cell_diff_reference(before, after) -> tuple[int, int]:
+    n_set = n_reset = 0
+    for b, a in zip(map(int, before), map(int, after)):
+        n_set += ((b ^ a) & a).bit_count()
+        n_reset += ((b ^ a) & b).bit_count()
+    return n_set, n_reset
+
+
+def test_scalar_batch_and_diff_kernels_are_bit_identical():
     cases = _kernel_cases()
     flips = np.zeros(cases.shape, dtype=bool)
     flips[:, ::2] = True
     old, new = cases, cases[::-1].copy()
 
-    monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-    vec_rs = read_stage_batch(old, flips, new)
-    vec_diff = cell_diff_batch(old, new)
-    vec_cd = [cell_diff(o, n) for o, n in zip(old, new)]
-    vec_pop = [popcount_line(row) for row in cases]
-
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    ref_rs = read_stage_batch(old, flips, new)
-    ref_diff = cell_diff_batch(old, new)
-    ref_cd = [cell_diff(o, n) for o, n in zip(old, new)]
-    ref_pop = [popcount_line(row) for row in cases]
-
-    for name in ("flip", "physical", "n_set", "n_reset"):
-        assert np.array_equal(getattr(vec_rs, name), getattr(ref_rs, name))
-    assert np.array_equal(vec_diff[0], ref_diff[0])
-    assert np.array_equal(vec_diff[1], ref_diff[1])
-    assert vec_cd == ref_cd
-    assert vec_pop == ref_pop
-    # cell_diff_batch must agree with per-row cell_diff too.
-    assert [tuple(map(int, t)) for t in zip(*vec_diff)] == vec_cd
-
-
-def test_kernel_counters_track_dispatch(monkeypatch):
-    units = np.arange(8, dtype=np.uint64)
-    flips = np.zeros(8, dtype=bool)
-    kernelstats.reset()
-    monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-    read_stage(units, flips, units)
-    popcount_line(units)
-    assert kernelstats.snapshot() == {"vectorized": 2, "scalar": 0}
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    read_stage(units, flips, units)
-    assert kernelstats.snapshot() == {"vectorized": 2, "scalar": 1}
-    kernelstats.reset()
-    assert kernelstats.snapshot() == {"vectorized": 0, "scalar": 0}
-
-
-def test_scalar_kernels_reproduce_a_functional_run(monkeypatch):
-    # One end-to-end run under REPRO_NO_VECTOR: the functional service
-    # model drives every write through the scheme pipeline (and thus the
-    # scalar kernels); its outcomes must match the vectorized run.
-    from repro.experiments.fullsystem import run_fullsystem
-    from repro.trace.synthetic import generate_trace
-
-    trace = generate_trace("dedup", 120, num_cores=4, seed=7)
-
-    monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-    vec = run_fullsystem(trace, "tetris", functional=True)
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    ref = run_fullsystem(trace, "tetris", functional=True)
-    for name in ("runtime_ns", "ipc", "mean_write_latency_ns"):
-        assert getattr(ref, name) == getattr(vec, name), name  # exact
+    matrix = read_stage(old, flips, new)
+    for w in range(old.shape[0]):
+        ref = read_stage_reference(old[w], flips[w], new[w])
+        for name in ("flip", "physical", "n_set", "n_reset"):
+            assert np.array_equal(getattr(matrix, name)[w], getattr(ref, name))
+    for o, n in zip(old, new):
+        assert cell_diff(o, n) == _cell_diff_reference(o, n)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.read_stage import read_stage, read_stage_batch
+from repro.core.read_stage import read_stage
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 _MASK = (1 << 64) - 1
@@ -141,18 +141,10 @@ class TestBatch:
         old = np.array([r[0] for r in rows], dtype=np.uint64).reshape(-1, 1)
         flip = np.array([r[1] for r in rows]).reshape(-1, 1)
         new = np.array([r[2] for r in rows], dtype=np.uint64).reshape(-1, 1)
-        batch = read_stage_batch(old, flip, new)
+        batch = read_stage(old, flip, new)
         for i, (o, f, n) in enumerate(rows):
             single = _stage(o, f, n)
             assert batch.flip[i, 0] == single.flip[0]
             assert batch.physical[i, 0] == single.physical[0]
             assert batch.n_set[i, 0] == single.n_set[0]
             assert batch.n_reset[i, 0] == single.n_reset[0]
-
-    def test_batch_requires_2d(self):
-        with pytest.raises(ValueError):
-            read_stage_batch(
-                np.zeros(3, dtype=np.uint64),
-                np.zeros(3, dtype=bool),
-                np.zeros(3, dtype=np.uint64),
-            )
