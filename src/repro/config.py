@@ -317,8 +317,10 @@ class MemCtrlConfig:
     drain_order: str = "fifo"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.drain_low_watermark <= self.drain_high_watermark <= self.write_queue_entries:
-            raise ConfigError("watermarks must satisfy 0 <= lo <= hi <= capacity")
+        # lo < hi strictly: with equal watermarks the drain state would
+        # flip on every update instead of holding between them.
+        if not 0 <= self.drain_low_watermark < self.drain_high_watermark <= self.write_queue_entries:
+            raise ConfigError("watermarks must satisfy 0 <= lo < hi <= capacity")
         if self.pause_overhead_ns < 0 or self.pause_threshold_ns < 0:
             raise ConfigError("pause parameters must be non-negative")
         if self.drain_order not in ("fifo", "sjf"):

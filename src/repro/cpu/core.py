@@ -63,13 +63,22 @@ class TraceCore:
     ) -> None:
         """``records`` is this core's sub-array of the trace;
         ``write_indices[i]`` is the *global* write ordinal of record ``i``
-        (-1 for reads) — the key into precomputed service/count tables."""
+        (-1 for reads) — the key into precomputed service/count tables.
+
+        The ``gap``/``op``/``line`` columns are taken as views once, so
+        each record costs plain 1-D indexing rather than a structured
+        field lookup; they are not copied into Python lists, which would
+        grow the resident set by a Python object per field per record.
+        """
         if len(records) != len(write_indices):
             raise ValueError("records and write_indices must align")
         self.sim = sim
         self.core_id = core_id
         self.records = records
         self.write_indices = write_indices
+        self._gaps = records["gap"]
+        self._ops = records["op"]
+        self._lines = records["line"]
         self.controller = controller
         self.cpu = cpu
         self.on_finish = on_finish
@@ -99,22 +108,23 @@ class TraceCore:
 
     # ------------------------------------------------------------------
     def _execute_gap(self) -> None:
-        gap = int(self.records["gap"][self._pc])
+        gap = int(self._gaps[self._pc])
         delay = gap * self.cpu.base_cpi * self.cpu.cycle_ns
         self.sim.schedule(delay, self._issue)
 
     def _issue(self) -> None:
-        rec = self.records[self._pc]
-        self.stats.instructions += int(rec["gap"])
-        kind = ReqKind.WRITE if rec["op"] == OP_WRITE else ReqKind.READ
+        pc = self._pc
+        self.stats.instructions += int(self._gaps[pc])
+        kind = ReqKind.WRITE if self._ops[pc] == OP_WRITE else ReqKind.READ
+        line = int(self._lines[pc])
         self._req_seq += 1
         req = MemRequest(
             req_id=(self.core_id << 32) | self._req_seq,
             kind=kind,
             core=self.core_id,
-            line=int(rec["line"]),
-            bank=int(rec["line"]) % self.controller.num_banks,
-            write_idx=int(self.write_indices[self._pc]),
+            line=line,
+            bank=line % self.controller.num_banks,
+            write_idx=int(self.write_indices[pc]),
         )
         if kind is ReqKind.READ:
             req.on_done = self._read_done

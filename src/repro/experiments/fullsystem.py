@@ -40,6 +40,8 @@ class PrecomputedServiceModel:
     def __init__(self, table: WriteServiceTable, config: SystemConfig) -> None:
         self.table = table
         self.t_read = config.timings.t_read_ns
+        # Python floats, converted once: write_ns runs per serviced write.
+        self._service_ns: list[float] = table.service_ns.tolist()
 
     def read_ns(self, req: MemRequest) -> float:
         return self.t_read
@@ -47,7 +49,7 @@ class PrecomputedServiceModel:
     def write_ns(self, req: MemRequest) -> float:
         if req.write_idx < 0:
             raise ValueError(f"write request without a write index: {req}")
-        return float(self.table.service_ns[req.write_idx])
+        return self._service_ns[req.write_idx]
 
     def predict_write_ns(self, req: MemRequest) -> float:
         """Side-effect-free prediction (enables the SJF drain order)."""

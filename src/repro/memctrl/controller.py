@@ -322,25 +322,53 @@ class MemoryController:
             self.sim.schedule(0.0, self._kick)
 
     def _kick(self) -> None:
+        """Start work on every bank that can take it, in bank order.
+
+        The drain state is refreshed before the first idle bank is
+        considered and again after anything that may have changed the
+        queues (a service start runs a core's waiter, which may submit).
+        Refreshing with unchanged inputs is a no-op (the watermarks
+        satisfy lo < hi), so this equals refreshing at every idle bank.
+        Banks for which select() must answer None are skipped: no
+        pending read, and no pending write the policy may issue.
+        """
         self._kick_scheduled = False
+        policy = self.policy
+        read_queue = self.read_queue
+        write_queue = self.write_queue
+        reads = read_queue.by_bank
+        writes = write_queue.by_bank
+        writes_anytime = self.config.memctrl.opportunistic_drain
+        bank_busy = self.bank_busy
+        paused = self._paused
+        stale = True
         for bank in range(self.num_banks):
-            if self.bank_busy[bank]:
+            if bank_busy[bank]:
                 if self.subarrays > 1:
                     self._try_read_under_write(bank)
+                    stale = True
                 continue
-            if self._paused[bank] is not None:
+            if paused[bank] is not None:
                 # A paused write owns the bank: pending reads cut in line,
                 # anything else waits for the resume.
-                read = self.read_queue.oldest_for_bank(bank)
+                read = read_queue.oldest_for_bank(bank)
                 if read is not None:
                     self._start_service(bank, read)
                 else:
                     self._resume_paused(bank)
+                stale = True
                 continue
-            req = self.policy.select(bank, self.read_queue, self.write_queue)
-            if req is None:
+            if stale:
+                policy.update_drain_state(write_queue)
+                stale = False
+            if not reads.get(bank) and not (
+                (policy.draining or writes_anytime) and writes.get(bank)
+            ):
                 continue
-            self._start_service(bank, req)
+            req = policy.select(bank, read_queue, write_queue)
+            if req is not None:
+                self._start_service(bank, req)
+                stale = True
 
     def _start_service(self, bank: int, req: MemRequest) -> None:
         queue = self.read_queue if req.kind is ReqKind.READ else self.write_queue
@@ -376,10 +404,10 @@ class MemoryController:
         if inflight is None or inflight[0].kind is not ReqKind.WRITE:
             return
         write_sub = self._subarray_of(inflight[0].line)
-        read = self.read_queue.oldest_where(
-            lambda r: r.bank == bank and self._subarray_of(r.line) != write_sub
-        )
-        if read is None:
+        for read in self.read_queue.for_bank(bank):
+            if self._subarray_of(read.line) != write_sub:
+                break
+        else:
             return
         self.read_queue.remove(read)
         self._notify_waiters(ReqKind.READ)

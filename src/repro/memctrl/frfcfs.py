@@ -93,11 +93,9 @@ class FRFCFSPolicy:
         """Row-hit-first within the bank when a row buffer exists,
         otherwise plain oldest-for-bank (flat-timing degeneration)."""
         if self.row_buffer is not None:
-            hit = queue.oldest_where(
-                lambda r: r.bank == bank and self.row_buffer.is_hit(bank, r.line)
-            )
-            if hit is not None:
-                return hit
+            for req in queue.for_bank(bank):
+                if self.row_buffer.is_hit(bank, req.line):
+                    return req
         return queue.oldest_for_bank(bank)
 
     def _next_write(self, write_queue: BoundedQueue, bank: int) -> MemRequest | None:
@@ -107,9 +105,7 @@ class FRFCFSPolicy:
         ):
             best: MemRequest | None = None
             best_ns = 0.0
-            for req in write_queue:
-                if req.bank != bank:
-                    continue
+            for req in write_queue.for_bank(bank):
                 ns = self.write_predictor(req)
                 if best is None or ns < best_ns:
                     best, best_ns = req, ns
@@ -124,10 +120,15 @@ class FRFCFSPolicy:
     ) -> MemRequest | None:
         """Pick the next request for an idle bank (or None).
 
-        Candidate lookups are lazy: the losing queue is only scanned when
-        the winning queue has no candidate for the bank.  select() runs
-        after every bank completion, so skipping the dead scan is a real
-        win on read-heavy phases (candidate search is O(queue)).
+        Candidate lookups are lazy: the losing queue is only consulted
+        when the winning queue has no candidate for the bank.  The FIFO
+        lookup is O(1) (the queues index requests by bank); the row-hit
+        and SJF searches walk only the bank's own requests.
+
+        The answer is None exactly when the bank has no pending read and
+        either no pending write or the policy is neither draining nor
+        opportunistic, whatever the drain order or row buffer; the
+        controller relies on this to skip banks without calling here.
         """
         self.update_drain_state(write_queue)
         if self.draining:

@@ -1,14 +1,18 @@
-"""Bounded request queues with per-bank selection.
+"""Bounded request queues with a per-bank index.
 
-The controller keeps one :class:`BoundedQueue` per direction.  Selection
-helpers return the *oldest* entry matching a predicate — the FCFS leg of
-FR-FCFS — without removing it, so the policy can inspect candidates for
-several banks before committing.
+The controller keeps one :class:`BoundedQueue` per direction.  A queue
+holds its requests twice: one global deque in arrival order (coalescing
+and arbitrary-predicate searches walk it) and one deque per bank holding
+that bank's requests in the same order.  The per-bank deques make the
+FCFS leg of FR-FCFS — the oldest request for a bank — and the question
+"does this bank have anything pending" O(1).  Selection helpers return a
+candidate without removing it, so the policy can inspect several banks
+before committing.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Callable, Iterator
 
 from repro.memctrl.request import MemRequest
@@ -25,6 +29,10 @@ class BoundedQueue:
         self.capacity = capacity
         self.name = name
         self._items: deque[MemRequest] = deque()
+        # bank -> that bank's requests, oldest first (the same objects
+        # as _items, in the same relative order).  Read-only for callers:
+        # a non-empty entry means the bank has a request pending.
+        self.by_bank: defaultdict[int, deque[MemRequest]] = defaultdict(deque)
         # Lines with a pending write, for read forwarding (multiset:
         # the same line can be enqueued twice).
         self._line_counts: dict[int, int] = {}
@@ -53,14 +61,18 @@ class BoundedQueue:
         if self.full:
             return False
         self._items.append(req)
+        self.by_bank[req.bank].append(req)
         self._line_counts[req.line] = self._line_counts.get(req.line, 0) + 1
         return True
 
     def oldest_for_bank(self, bank: int) -> MemRequest | None:
-        for req in self._items:
-            if req.bank == bank:
-                return req
-        return None
+        """The bank's oldest pending request, or None.  O(1)."""
+        bank_items = self.by_bank.get(bank)
+        return bank_items[0] if bank_items else None
+
+    def for_bank(self, bank: int) -> Iterator[MemRequest]:
+        """The bank's pending requests, oldest first."""
+        return iter(self.by_bank.get(bank, ()))
 
     def oldest_where(
         self, pred: Callable[[MemRequest], bool]
@@ -71,7 +83,9 @@ class BoundedQueue:
         return None
 
     def remove(self, req: MemRequest) -> None:
+        """Remove exactly ``req`` (requests compare by identity)."""
         self._items.remove(req)
+        self.by_bank[req.bank].remove(req)
         count = self._line_counts[req.line] - 1
         if count:
             self._line_counts[req.line] = count
@@ -83,4 +97,4 @@ class BoundedQueue:
         return line in self._line_counts
 
     def banks_pending(self) -> set[int]:
-        return {req.bank for req in self._items}
+        return {bank for bank, items in self.by_bank.items() if items}

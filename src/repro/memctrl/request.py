@@ -14,7 +14,7 @@ class ReqKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class MemRequest:
     """One post-LLC request flowing through the controller.
 
@@ -22,6 +22,10 @@ class MemRequest:
     precomputed service-time array); -1 for reads.  Timestamps are filled
     in as the request progresses; ``on_done`` fires at completion (used
     by cores to unblock on reads).
+
+    Requests compare by identity: two requests with equal fields are
+    still two requests, and removing one from a queue must not remove
+    the other.
     """
 
     req_id: int

@@ -224,6 +224,11 @@ class SweepService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 return  # peer vanished while closing: already closed
+            except asyncio.CancelledError:
+                # Teardown can also land while the close is awaited; the
+                # writer is already closed, so finish normally for the
+                # same reason as above.
+                return
 
     async def _send(self, writer: asyncio.StreamWriter, frame: dict) -> None:
         writer.write(encode_frame(frame))

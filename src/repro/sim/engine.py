@@ -77,7 +77,13 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.at(self.now + delay, fn, *args)
+        # at() inlined: every FSM transition schedules, and now + delay
+        # with delay >= 0 can never land in the past.
+        time = self.now + delay
+        self._seq += 1
+        ev = Event(time, self._seq, fn, args)
+        heapq.heappush(self._heap, (time, self._seq, ev))
+        return ev
 
     def at(self, time: float, fn: Callable, *args) -> Event:
         """Schedule ``fn(*args)`` at an absolute time."""

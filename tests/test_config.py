@@ -97,6 +97,12 @@ class TestMemCtrlConfig:
         with pytest.raises(ConfigError):
             MemCtrlConfig(drain_high_watermark=5, drain_low_watermark=10)
 
+    def test_rejects_equal_watermarks(self):
+        # Equal watermarks leave no hysteresis band: the drain state
+        # would toggle on every update.
+        with pytest.raises(ConfigError, match="0 <= lo < hi <= capacity"):
+            MemCtrlConfig(drain_high_watermark=8, drain_low_watermark=8)
+
     def test_rejects_watermark_above_capacity(self):
         with pytest.raises(ConfigError):
             MemCtrlConfig(write_queue_entries=16, drain_high_watermark=20)

@@ -1,6 +1,7 @@
 """Tests for the FR-FCFS policy: read priority, drain watermarks, rows."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import MemCtrlConfig
 from repro.memctrl.frfcfs import FRFCFSPolicy, RowBufferModel
@@ -92,6 +93,56 @@ class TestDrainStateMachine:
         wq.push(req(1, bank=0, kind=ReqKind.WRITE))
         policy.force_drain = True
         assert policy.select(0, rq, wq).kind is ReqKind.WRITE
+
+
+class TestDrainIdempotence:
+    """update_drain_state with unchanged inputs is a no-op once applied.
+
+    The controller relies on this to refresh the drain state once per
+    change instead of once per idle bank.  It holds because lo < hi
+    (MemCtrlConfig rejects lo == hi, where the state would toggle).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=32).flatmap(
+            lambda cap: st.tuples(
+                st.just(cap),
+                st.integers(min_value=1, max_value=cap).flatmap(
+                    lambda hi: st.tuples(
+                        st.integers(min_value=0, max_value=hi - 1),
+                        st.just(hi),
+                    )
+                ),
+                st.integers(min_value=0, max_value=cap),
+            )
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_twice_equals_once(self, shape, draining, force_drain):
+        cap, (lo, hi), occupancy = shape
+        wq = BoundedQueue(cap, "write")
+        for i in range(occupancy):
+            wq.push(req(i, line=i, kind=ReqKind.WRITE))
+
+        def fresh():
+            policy = make_policy(
+                write_queue_entries=cap,
+                drain_high_watermark=hi,
+                drain_low_watermark=lo,
+            )
+            policy.draining = draining
+            policy.force_drain = force_drain
+            return policy
+
+        once, twice = fresh(), fresh()
+        once.update_drain_state(wq)
+        twice.update_drain_state(wq)
+        twice.update_drain_state(wq)
+        assert (twice.draining, twice.drain_entries) == (
+            once.draining, once.drain_entries
+        )
 
 
 class TestRowBuffer:

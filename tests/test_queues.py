@@ -81,3 +81,62 @@ class TestRemovalAndLines:
         for i in range(3):
             q.push(req(i))
         assert [r.req_id for r in q] == [0, 1, 2]
+
+    def test_banks_pending_forgets_drained_banks(self):
+        q = BoundedQueue(8)
+        r = req(1, bank=2)
+        q.push(r)
+        q.push(req(2, bank=4))
+        q.remove(r)
+        assert q.banks_pending() == {4}
+
+
+class TestPerBankIndex:
+    def test_by_bank_tracks_push_and_remove(self):
+        q = BoundedQueue(8)
+        assert not q.by_bank.get(3)
+        r = req(1, bank=3)
+        q.push(r)
+        assert list(q.by_bank[3]) == [r]
+        q.remove(r)
+        assert not q.by_bank.get(3)
+        assert q.oldest_for_bank(3) is None
+
+    def test_for_bank_keeps_arrival_order(self):
+        q = BoundedQueue(8)
+        for i, bank in enumerate((1, 0, 1, 2, 1)):
+            q.push(req(i, bank=bank))
+        assert [r.req_id for r in q.for_bank(1)] == [0, 2, 4]
+        assert list(q.for_bank(7)) == []
+
+    def test_oldest_for_bank_after_removing_the_head(self):
+        q = BoundedQueue(8)
+        first, second = req(1, bank=1), req(2, bank=1)
+        q.push(first)
+        q.push(req(3, bank=0))
+        q.push(second)
+        q.remove(first)
+        assert q.oldest_for_bank(1) is second
+        assert [r.req_id for r in q] == [3, 2]
+
+
+class TestIdentity:
+    def test_remove_takes_the_given_request_not_an_equal_one(self):
+        # Field-equal requests (same id, line, bank, on_done) are still
+        # two requests: removing the second must leave the first queued,
+        # both in the global order and in the per-bank index.
+        q = BoundedQueue(8)
+        first, second = req(7, line=40, bank=2), req(7, line=40, bank=2)
+        q.push(first)
+        q.push(second)
+        q.remove(second)
+        assert len(q) == 1
+        assert next(iter(q)) is first
+        assert q.oldest_for_bank(2) is first
+        assert list(q.for_bank(2)) == [first]
+        assert q.contains_line(40)
+
+    def test_requests_compare_by_identity(self):
+        a, b = req(1, line=3), req(1, line=3)
+        assert a == a
+        assert a != b
