@@ -32,6 +32,11 @@ embarrassingly parallel, and :class:`SweepEngine` exploits it:
   and ``last_signal``; the rest of the grid completes.  Legacy callers
   that want fail-fast semantics use :meth:`SweepResult.raise_errors`.
 
+:func:`run_cells` (supervised execution, deadlines, failure capture)
+and :func:`cell_meta` (the provenance stamped on every stored row) are
+the one implementation of running and storing cells; the sweep service
+(``repro.service``) executes its batches through them too.
+
 :func:`parallel_map` is the small sibling used by the ablation and
 crossover sweeps: an ordered, fail-fast supervised map that degrades to
 a plain loop at ``workers=1``.
@@ -85,10 +90,12 @@ __all__ = [
     "SweepResult",
     "SweepStats",
     "FASTPATH_MODES",
+    "cell_meta",
     "default_workers",
     "derive_cell_seeds",
     "execute_cell_payload",
     "parallel_map",
+    "run_cells",
 ]
 
 
@@ -243,25 +250,7 @@ class SweepStats:
     recheck_divergences: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "cells": self.cells,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "cache_stores": self.cache_stores,
-            "resumed": self.resumed,
-            "errors": self.errors,
-            "workers": self.workers,
-            "wall_s": self.wall_s,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_deaths": self.worker_deaths,
-            "replacements": self.replacements,
-            "serial_cells": self.serial_cells,
-            "fastpath_cells": self.fastpath_cells,
-            "des_cells": self.des_cells,
-            "recheck_samples": self.recheck_samples,
-            "recheck_divergences": self.recheck_divergences,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -383,8 +372,12 @@ def _chaos_inject(workload: str, scheme: str) -> None:
             time.sleep(float(seconds))
 
 
-def _run_cell(payload: tuple):
-    """Supervised task: run one cell, returning ``(idx, row | CellError)``.
+def execute_cell_payload(payload: tuple):
+    """Execute one :class:`PlannedCell` payload -> ``(idx, row | CellError)``.
+
+    The picklable unit of work every executor runs (the serial loop and
+    the supervised workers of :func:`run_cells`), so a payload yields
+    the same row wherever it executes.
 
     The broad except is the structured-failure boundary: the exception is
     converted into a :class:`CellError` row (type, message, traceback)
@@ -424,20 +417,106 @@ def _run_cell(payload: tuple):
         )
 
 
-def execute_cell_payload(payload: tuple):
-    """Execute one :class:`PlannedCell` payload -> ``(idx, row | CellError)``.
-
-    Public, picklable entry point for external executors (the sweep
-    service's worker pool): running a planned payload here traverses
-    exactly the code a serial :meth:`SweepEngine.run` would, so the
-    resulting rows are byte-identical.
-    """
-    return _run_cell(payload)
-
-
 def _cell_retry_signal(value) -> str | None:
     """Supervisor value classifier: CellError rows are retryable failures."""
     return "exception" if isinstance(value[1], CellError) else None
+
+
+def run_cells(
+    batch: list[PlannedCell],
+    *,
+    workers: int,
+    retry: RetryPolicy,
+    cell_deadline_s: float | None = None,
+    name: str = "sweep",
+    counts: dict[str, int] | None = None,
+):
+    """Yield ``(position, row | CellError)`` for every cell of ``batch``.
+
+    ``position`` indexes ``batch``; results arrive in completion order.
+    With one worker (or one cell) every payload runs inline through
+    :func:`execute_cell_payload`.  Otherwise a :class:`WorkerSupervisor`
+    runs them: idle workers steal the next cell (batches follow the
+    grid's workload-major order, so a worker's trace cache keeps
+    hitting), and hung / killed / crashing cells are retried,
+    quarantined, or drained serially per ``docs/RESILIENCE.md``.
+
+    Each cell's deadline is ``cell_deadline_s`` when given (``0``
+    disables deadlines), else ``retry.deadline_s`` of the cell's trace
+    size.  A cell that never produced a value becomes a
+    :class:`CellError` built from the supervisor's failure report, and
+    every supervised :class:`CellError` carries the cell's ``attempts``
+    and ``last_signal``.  ``counts``, when given, receives the
+    supervisor's counters once the batch finishes (untouched inline).
+    """
+    workers = min(workers, len(batch))
+    if workers <= 1:
+        for pos, pc in enumerate(batch):
+            yield pos, execute_cell_payload(pc.payload)[1]
+        return
+
+    def deadline_for(payload: tuple) -> float | None:
+        if cell_deadline_s is not None:
+            return cell_deadline_s if cell_deadline_s > 0 else None
+        return retry.deadline_s(payload[5])  # the cell's requests_per_core
+
+    supervisor = WorkerSupervisor(
+        execute_cell_payload,
+        workers=workers,
+        policy=retry,
+        deadline_for=deadline_for,
+        retry_value_signal=_cell_retry_signal,
+        name=name,
+    )
+    for report in supervisor.run(
+        (pos, pc.payload) for pos, pc in enumerate(batch)
+    ):
+        if report.failure is not None:
+            # The cell never produced a value: synthesize the error row
+            # from its coordinates.
+            cell = batch[report.task_id].cell
+            yield report.task_id, CellError(
+                workload=cell.workload,
+                scheme=cell.scheme,
+                seed=cell.seed,
+                variant=cell.variant,
+                error_type=report.failure.error_type,
+                message=report.failure.message,
+                traceback_text=report.failure.traceback_text,
+                attempts=report.attempts,
+                last_signal=report.last_signal,
+            )
+            continue
+        _, result = report.value
+        if isinstance(result, CellError) and (
+            report.attempts > 1 or report.last_signal
+        ):
+            result = dataclasses.replace(
+                result,
+                attempts=report.attempts,
+                last_signal=report.last_signal or "exception",
+            )
+        yield report.task_id, result
+    if counts is not None:
+        counts.update(supervisor.counts())
+
+
+def cell_meta(cell: SweepCell, lane: str, salt: str) -> dict:
+    """Provenance stamped on every cache entry and journal line.
+
+    The same record for the engine and the service, so both stores
+    describe a row identically.  Stamping the salt lets a later resume
+    distinguish "journal from other sources" (StaleJournalError) from
+    "journal for a different grid".
+    """
+    return {
+        "scheme": cell.scheme,
+        "workload": cell.workload,
+        "seed": cell.seed,
+        "variant": cell.variant,
+        "lane": lane,
+        "salt": salt,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +626,6 @@ class SweepEngine:
         self.certificate_path = (
             str(certificate_path) if certificate_path is not None else None
         )
-        self.supervisor: WorkerSupervisor | None = None  # last run's, if any
 
     @staticmethod
     def _resolve_cache(cache, cache_dir) -> ResultCache | None:
@@ -644,28 +722,13 @@ class SweepEngine:
             lane=lane,
         )
 
-    def _cell_meta(self, cell: SweepCell, lane: str | None = None) -> dict:
-        """Provenance stamped on a cache entry (with ``lane``) or a
-        journal line (without ``lane``).
-
-        Stamping the salt lets a later resume distinguish "journal from
-        other sources" (StaleJournalError) from "journal for a different
-        grid".
-        """
-        meta = {
-            "scheme": cell.scheme,
-            "workload": cell.workload,
-            "seed": cell.seed,
-            "variant": cell.variant,
-        }
-        if lane is not None:
-            meta["lane"] = lane
-        meta["salt"] = self._salt()
-        return meta
-
-    def _journal_append(self, key: str, cell: SweepCell, row_dict: dict) -> None:
+    def _journal_append(self, pc: PlannedCell, row_dict: dict) -> None:
         if self.journal is not None:
-            self.journal.append(key, row_dict, meta=self._cell_meta(cell))
+            self.journal.append(
+                pc.journal_key,
+                row_dict,
+                meta=cell_meta(pc.cell, pc.lane, self._salt()),
+            )
 
     # ------------------------------------------------------------------
     def plan(
@@ -731,9 +794,7 @@ class SweepEngine:
         from repro.experiments.runner import ExperimentResult
 
         start = time.perf_counter()
-        self.supervisor = None
         planned = self.plan(tuple(schemes), tuple(workloads), seeds=seeds)
-        cells = [pc.cell for pc in planned]
         journaled: dict[str, dict] = {}
         if resume:
             if self.journal is None:
@@ -741,15 +802,13 @@ class SweepEngine:
             journaled = self.journal.load()
 
         outcomes: dict[int, CellOutcome] = {}
-        pending: list[tuple] = []       # worker payloads for cache misses
-        pending_keys: dict[int, tuple[str | None, str | None, str]] = {}
+        pending: list[PlannedCell] = []   # cache misses
         resumed = 0
         for pc in planned:
-            idx, cell, jkey = pc.index, pc.cell, pc.journal_key
-            if resume and jkey in journaled:
-                outcomes[idx] = CellOutcome(
-                    cell,
-                    row=ExperimentResult(**journaled[jkey]),
+            if resume and pc.journal_key in journaled:
+                outcomes[pc.index] = CellOutcome(
+                    pc.cell,
+                    row=ExperimentResult(**journaled[pc.journal_key]),
                     resumed=True,
                 )
                 resumed += 1
@@ -757,13 +816,12 @@ class SweepEngine:
             if pc.cache_key is not None:
                 row_dict = self.cache.get(pc.cache_key)
                 if row_dict is not None:
-                    outcomes[idx] = CellOutcome(
-                        cell, row=ExperimentResult(**row_dict), cached=True
+                    outcomes[pc.index] = CellOutcome(
+                        pc.cell, row=ExperimentResult(**row_dict), cached=True
                     )
-                    self._journal_append(jkey, cell, row_dict)
+                    self._journal_append(pc, row_dict)
                     continue
-            pending_keys[idx] = (pc.cache_key, jkey, pc.lane)
-            pending.append(pc.payload)
+            pending.append(pc)
 
         if (
             resume
@@ -783,31 +841,36 @@ class SweepEngine:
                 f"sources hash to {self._salt()}"
             )
 
-        for idx, result in self._execute(pending):
-            cell = cells[idx]
+        counts: dict[str, int] = {}
+        for pos, result in run_cells(
+            pending,
+            workers=self.workers,
+            retry=self.retry,
+            cell_deadline_s=self.cell_deadline_s,
+            counts=counts,
+        ):
+            pc = pending[pos]
             if isinstance(result, CellError):
-                outcomes[idx] = CellOutcome(cell, error=result)
-            else:
-                outcomes[idx] = CellOutcome(cell, row=result)
-                key, jkey, lane = pending_keys[idx]
-                row_dict = dataclasses.asdict(result)
-                if self.cache is not None and key is not None:
-                    self.cache.put(
-                        key, row_dict, meta=self._cell_meta(cell, lane)
-                    )
-                if jkey is not None:
-                    self._journal_append(jkey, cell, row_dict)
+                outcomes[pc.index] = CellOutcome(pc.cell, error=result)
+                continue
+            outcomes[pc.index] = CellOutcome(pc.cell, row=result)
+            row_dict = dataclasses.asdict(result)
+            if pc.cache_key is not None:
+                self.cache.put(
+                    pc.cache_key,
+                    row_dict,
+                    meta=cell_meta(pc.cell, pc.lane, self._salt()),
+                )
+            self._journal_append(pc, row_dict)
 
         recheck_records = self._recheck(planned, outcomes)
         certificate = self._certificate(planned, outcomes, recheck_records)
         if self.certificate_path:
             write_certificate(self.certificate_path, certificate)
 
-        ordered = [outcomes[i] for i in range(len(cells))]
-        sup = self.supervisor
-        counts = sup.counts() if sup is not None else {}
+        ordered = [outcomes[i] for i in range(len(planned))]
         stats = SweepStats(
-            cells=len(cells),
+            cells=len(planned),
             executed=len(pending),
             cache_hits=self.cache.stats.hits if self.cache else 0,
             cache_stores=self.cache.stats.stores if self.cache else 0,
@@ -862,7 +925,7 @@ class SweepEngine:
                 cached = self.cache.get(des_key)
                 if cached is not None:
                     return cached
-            _, result = _run_cell(pc.payload[:-1] + ("des",))
+            _, result = execute_cell_payload(pc.payload[:-1] + ("des",))
             if isinstance(result, CellError):
                 raise RuntimeError(
                     "differential recheck could not execute the DES lane "
@@ -872,7 +935,9 @@ class SweepEngine:
             row_dict = dataclasses.asdict(result)
             if des_key is not None:
                 self.cache.put(
-                    des_key, row_dict, meta=self._cell_meta(pc.cell, "des")
+                    des_key,
+                    row_dict,
+                    meta=cell_meta(pc.cell, "des", self._salt()),
                 )
             return row_dict
 
@@ -924,68 +989,6 @@ class SweepEngine:
             cells=cert_cells,
             rechecks=recheck_records,
         )
-
-    # ------------------------------------------------------------------
-    def _cell_deadline(self) -> float | None:
-        """Effective per-cell deadline (seconds), or None when disabled."""
-        if self.cell_deadline_s is not None:
-            return self.cell_deadline_s if self.cell_deadline_s > 0 else None
-        return self.retry.deadline_s(self.requests_per_core)
-
-    def _execute(self, payloads: list[tuple]):
-        """Yield ``(idx, row-or-error)`` for every payload.
-
-        Serial mode runs the exact same ``_run_cell`` per payload, so
-        parallel and serial cells traverse identical code.  Parallel
-        mode hands the payloads to a :class:`WorkerSupervisor`: idle
-        workers steal the next cell (payloads follow the grid's
-        workload-major order, so a worker's trace cache keeps hitting),
-        and hung / killed / crashing cells are retried, quarantined, or
-        drained serially per ``docs/RESILIENCE.md``.
-        """
-        if not payloads:
-            return
-        workers = min(self.workers, len(payloads))
-        if workers <= 1:
-            for payload in payloads:
-                yield _run_cell(payload)
-            return
-        deadline_s = self._cell_deadline()
-        self.supervisor = WorkerSupervisor(
-            _run_cell,
-            workers=workers,
-            policy=self.retry,
-            deadline_for=(lambda payload: deadline_s),
-            retry_value_signal=_cell_retry_signal,
-            name="sweep",
-        )
-        for report in self.supervisor.run((p[0], p) for p in payloads):
-            if report.failure is not None:
-                # The cell never produced a value: synthesize the error
-                # row from the payload coordinates.
-                payload = next(p for p in payloads if p[0] == report.task_id)
-                yield report.task_id, CellError(
-                    workload=payload[1],
-                    scheme=payload[2],
-                    seed=payload[3],
-                    variant=payload[4],
-                    error_type=report.failure.error_type,
-                    message=report.failure.message,
-                    traceback_text=report.failure.traceback_text,
-                    attempts=report.attempts,
-                    last_signal=report.last_signal,
-                )
-                continue
-            idx, result = report.value
-            if isinstance(result, CellError) and (
-                report.attempts > 1 or report.last_signal
-            ):
-                result = dataclasses.replace(
-                    result,
-                    attempts=report.attempts,
-                    last_signal=report.last_signal or "exception",
-                )
-            yield idx, result
 
 
 # ----------------------------------------------------------------------

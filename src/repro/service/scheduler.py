@@ -22,11 +22,11 @@ The scheduler owns the path from "job accepted" to "row delivered":
   (enforced by simlint SL015).
 
 Execution is batched: each round selects up to ``workers`` cells
-(across tenants, in DRR order) and runs them through the exact same
-code a serial :meth:`SweepEngine.run` uses — either inline
-:func:`execute_cell_payload` (``workers=1``) or a supervised
-:class:`WorkerSupervisor` pool — so rows are byte-identical to a
-serial run of the same grid.
+(across tenants, in DRR order) and runs them through
+:func:`~repro.parallel.engine.run_cells`, the runner
+:meth:`SweepEngine.run` uses, and stamps stored rows with the engine's
+:func:`~repro.parallel.engine.cell_meta` — so rows, deadlines, retries,
+failure rows and journal records match a serial run of the same grid.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs import MetricRegistry
-from repro.parallel.engine import (
-    CellError,
-    execute_cell_payload,
-)
+from repro.parallel.engine import CellError, PlannedCell, cell_meta, run_cells
 from repro.parallel.journal import SweepJournal
 from repro.parallel.resultcache import ResultCache, code_salt
-from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor
+from repro.parallel.supervisor import RetryPolicy
 from repro.service.jobs import Job
 from repro.service.protocol import E_ADMISSION, ProtocolError
 
@@ -59,9 +56,7 @@ __all__ = [
 class CellWork:
     """One unique cell in flight, with every (job, index) waiting on it."""
 
-    key: str                   # journal content address (single-flight key)
-    cache_key: str | None
-    payload: tuple             # engine worker payload (PlannedCell.payload)
+    planned: PlannedCell       # journal_key is the single-flight key
     tenant: str                # owning tenant for queue accounting
     waiters: list[tuple[Job, int]] = field(default_factory=list)
 
@@ -80,7 +75,7 @@ class Scheduler:
 
     All mutable scheduling state (tenant queues, the in-flight map, job
     bookkeeping) is touched only from the event loop; executor threads
-    see immutable payloads and the thread-safe journal/cache appenders.
+    see immutable planned cells and the thread-safe journal/cache appenders.
     """
 
     def __init__(
@@ -142,7 +137,7 @@ class Scheduler:
             if row is None and self.cache is not None and pc.cache_key:
                 row = self.cache.get(pc.cache_key)
                 if row is not None:
-                    self._journal_row(pc.journal_key, pc.payload, row)
+                    self._journal_row(pc, row)
             out.append((pc, row))
         return out
 
@@ -195,9 +190,7 @@ class Scheduler:
                 self._m.counter("cells_deduped").inc(1)
                 continue
             work = CellWork(
-                key=pc.journal_key,
-                cache_key=pc.cache_key,
-                payload=pc.payload,
+                planned=pc,
                 tenant=job.tenant,
                 waiters=[(job, pc.index)],
             )
@@ -229,7 +222,7 @@ class Scheduler:
                 if work.waiters:
                     kept.append(work)
                 else:
-                    self.inflight.pop(work.key, None)
+                    self.inflight.pop(work.planned.journal_key, None)
                     removed += 1
             ts.queue = kept
         for work in self.inflight.values():
@@ -301,96 +294,48 @@ class Scheduler:
     # Batch execution (executor thread; blocking by design).
     # ------------------------------------------------------------------
     def _run_batch(self, batch: list[CellWork]) -> list[tuple]:
-        """Execute a batch and persist successes; returns completions.
-
-        Payloads are re-indexed batch-locally so mixed-job batches keep
-        unique supervisor task IDs; the index never reaches the DES, so
-        rows stay byte-identical to a serial run.
-        """
-        payloads = [(bi,) + w.payload[1:] for bi, w in enumerate(batch)]
-        values: dict[int, object] = {}
-        if self.workers <= 1 or len(payloads) == 1:
-            for payload in payloads:
-                bi, value = execute_cell_payload(payload)
-                values[bi] = value
-        else:
-            supervisor = WorkerSupervisor(
-                execute_cell_payload,
-                workers=min(self.workers, len(payloads)),
-                policy=self.retry,
-                retry_value_signal=(
-                    lambda v: "exception" if isinstance(v[1], CellError) else None
-                ),
+        """Execute a batch and persist successes; returns completions
+        in batch order."""
+        values = dict(
+            run_cells(
+                [work.planned for work in batch],
+                workers=self.workers,
+                retry=self.retry,
                 name="service",
             )
-            for report in supervisor.run((p[0], p) for p in payloads):
-                if report.failure is not None:
-                    payload = payloads[report.task_id]
-                    values[report.task_id] = CellError(
-                        workload=payload[1],
-                        scheme=payload[2],
-                        seed=payload[3],
-                        variant=payload[4],
-                        error_type=report.failure.error_type,
-                        message=report.failure.message,
-                        traceback_text=report.failure.traceback_text,
-                        attempts=report.attempts,
-                        last_signal=report.last_signal,
-                    )
-                else:
-                    bi, value = report.value
-                    values[bi] = value
+        )
         out: list[tuple] = []
-        for bi, work in enumerate(batch):
-            value = values[bi]
+        for pos, work in enumerate(batch):
+            value = values[pos]
             if isinstance(value, CellError):
                 out.append((work, "error", dataclasses.asdict(value)))
                 continue
             row = dataclasses.asdict(value)
-            if self.cache is not None and work.cache_key is not None:
-                self.cache.put(
-                    work.cache_key,
-                    row,
-                    meta={
-                        "scheme": work.payload[2],
-                        "workload": work.payload[1],
-                        "seed": work.payload[3],
-                        "variant": work.payload[4],
-                        "lane": work.payload[8],
-                        "salt": self._salt,
-                    },
-                )
-            self._journal_row(work.key, work.payload, row)
+            pc = work.planned
+            if self.cache is not None and pc.cache_key is not None:
+                meta = cell_meta(pc.cell, pc.lane, self._salt)
+                self.cache.put(pc.cache_key, row, meta=meta)
+            self._journal_row(pc, row)
             out.append((work, "row", row))
         return out
 
-    def _journal_row(self, key: str, payload: tuple, row: dict) -> None:
+    def _journal_row(self, pc: PlannedCell, row: dict) -> None:
         """Thread-safe append of a completed cell to the shared journal."""
-        self.journal_rows[key] = row
+        self.journal_rows[pc.journal_key] = row
         if self.cell_journal is None:
             return
+        meta = cell_meta(pc.cell, pc.lane, self._salt)
         with self._journal_lock:
-            self.cell_journal.append(
-                key,
-                row,
-                meta={
-                    "scheme": payload[2],
-                    "workload": payload[1],
-                    "seed": payload[3],
-                    "variant": payload[4],
-                    "lane": payload[8],
-                    "salt": self._salt,
-                },
-            )
+            self.cell_journal.append(pc.journal_key, row, meta=meta)
 
     # ------------------------------------------------------------------
     # Completion routing (event loop).
     # ------------------------------------------------------------------
     def _complete(self, work: CellWork, kind: str, outcome: dict) -> None:
-        self.inflight.pop(work.key, None)
-        lane = work.payload[8]
+        pc = work.planned
+        self.inflight.pop(pc.journal_key, None)
         self._m.counter(
-            "cells_fastpath" if lane == "fastpath" else "cells_des"
+            "cells_fastpath" if pc.lane == "fastpath" else "cells_des"
         ).inc(1)
         if kind == "error":
             self._m.counter("cells_failed").inc(1)

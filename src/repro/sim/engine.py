@@ -15,7 +15,7 @@ on this engine.  Design points:
   sift comparisons are C-speed tuple compares on floats/ints (``seq`` is
   unique, so the event object itself is never compared), and ``Event``
   uses ``__slots__``; a full-system run allocates one event per FSM
-  transition, which makes both measurable in ``bench_fig14_running_time``.
+  transition, which makes both measurable in ``bench_fig11_14_fullsystem``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ import time
 
 import pytest
 
-from repro.parallel import ResultCache, SweepEngine
+from repro.parallel import ResultCache, RetryPolicy, SweepEngine
+from repro.parallel.engine import PlannedCell, SweepCell
 from repro.service import GridSpec, ProtocolError, SweepService, job_id_for
 from repro.service.jobs import Job, JobStore
 from repro.service.protocol import (
@@ -98,16 +99,17 @@ def submit_frame(tenant: str, grid: dict) -> dict:
 
 
 def slow_cells(monkeypatch, delay_s: float = 0.05):
-    """Patch cell execution with a floor latency (deterministic races)."""
-    import repro.service.scheduler as sched_mod
+    """Give the shared runner's inline cell call a floor latency
+    (deterministic races)."""
+    import repro.parallel.engine as engine_mod
 
-    orig = sched_mod.execute_cell_payload
+    orig = engine_mod.execute_cell_payload
 
     def slow(payload):
         time.sleep(delay_s)
         return orig(payload)
 
-    monkeypatch.setattr(sched_mod, "execute_cell_payload", slow)
+    monkeypatch.setattr(engine_mod, "execute_cell_payload", slow)
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +173,77 @@ def test_workers_gt1_supervised_batch_byte_identical(tmp_path):
     assert row_bytes(status["rows"]) == serial_row_bytes(GRID_A)
 
 
+def test_workers_gt1_hung_cell_times_out_and_the_grid_finishes(
+    tmp_path, monkeypatch
+):
+    expected = serial_row_bytes(GRID_A)    # before the hang is armed
+    monkeypatch.setenv("REPRO_CHAOS_HANG", "vips:tetris:60")
+    policy = RetryPolicy(
+        max_retries=1, deadline_base_s=0.5, deadline_per_request_s=0.0
+    )
+
+    async def run():
+        svc = await make_service(tmp_path, workers=2, retry=policy)
+        try:
+            reply = await svc._dispatch(submit_frame("alice", GRID_A), None)
+            await asyncio.wait_for(svc.scheduler.wait_idle(), 50)
+            return await svc._dispatch(
+                request_frame("status", job=reply["job"]), None
+            )
+        finally:
+            await svc.shutdown()
+
+    status = asyncio.run(run())
+    assert status["state"] == "done"
+    [err] = status["errors"]
+    assert (err["workload"], err["scheme"]) == ("vips", "tetris")
+    assert err["error_type"] == "CellTimeout"
+    assert err["attempts"] == 2
+    assert err["last_signal"] == "timeout"
+    hung = 3    # grid order: dedup x {dcw, tetris}, vips x {dcw, tetris}
+    assert row_bytes(status["rows"]) == expected[:hung] + expected[hung + 1:]
+
+
+def test_engine_and_service_journal_the_same_record(tmp_path):
+    spec = GridSpec.from_dict(GRID_SMALL)
+    engine_journal = tmp_path / "engine.jsonl"
+    SweepEngine(
+        requests_per_core=spec.requests_per_core,
+        root_seed=spec.seed,
+        workers=1,
+        cache=False,
+        journal=engine_journal,
+    ).run(spec.schemes, spec.workloads).raise_errors()
+
+    async def run():
+        svc = await make_service(tmp_path)
+        try:
+            await svc._dispatch(submit_frame("alice", GRID_SMALL), None)
+            await asyncio.wait_for(svc.scheduler.wait_idle(), 120)
+        finally:
+            await svc.shutdown()
+        return svc.cell_journal.path
+
+    service_journal = asyncio.run(run())
+    [engine_line] = engine_journal.read_text().splitlines()
+    [service_line] = service_journal.read_text().splitlines()
+    engine_record = json.loads(engine_line)
+    assert engine_record["meta"]["lane"] == "des"
+    assert engine_record == json.loads(service_line)
+
+
 # ----------------------------------------------------------------------
 # DRR fairness bound.
 # ----------------------------------------------------------------------
 def _queued(key: str, tenant: str) -> CellWork:
-    return CellWork(key=key, cache_key=None, payload=(0,), tenant=tenant)
+    planned = PlannedCell(
+        index=0,
+        cell=SweepCell("dedup", "dcw", 0),
+        payload=(),
+        cache_key=None,
+        journal_key=key,
+    )
+    return CellWork(planned=planned, tenant=tenant)
 
 
 def test_drr_bounds_unfairness_by_the_quantum():

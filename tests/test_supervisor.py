@@ -164,6 +164,39 @@ def test_hung_cell_is_quarantined_with_attempts_gt_1(chaos_env):
     assert "attempts=2" in err.format()
 
 
+@pytest.mark.parametrize("caller", ["engine", "service"])
+def test_persistently_raising_cell_is_tagged_by_both_callers(caller):
+    from repro.service.scheduler import CellWork, Scheduler
+
+    policy = RetryPolicy(
+        max_retries=2, backoff_base_s=0.01, poll_interval_s=0.02
+    )
+    # The scheme is unregistered: every attempt raises inside the cell.
+    schemes = ("dcw", "no_such_scheme")
+    eng = SweepEngine(
+        requests_per_core=REQUESTS, workers=2, cache=False, retry=policy
+    )
+    if caller == "engine":
+        errors = eng.run(schemes, ("dedup",)).errors
+    else:
+        sched = Scheduler(
+            cache=None, cell_journal=None, workers=2, retry=policy
+        )
+        batch = [
+            CellWork(planned=pc, tenant="t")
+            for pc in eng.plan(schemes, ("dedup",))
+        ]
+        errors = [
+            CellError(**outcome)
+            for _, kind, outcome in sched._run_batch(batch)
+            if kind == "error"
+        ]
+    [err] = errors
+    assert err.scheme == "no_such_scheme"
+    assert err.attempts == policy.max_retries + 1
+    assert err.last_signal == "exception"
+
+
 def test_raise_errors_is_one_line_per_cell_with_tracebacks_attr(chaos_env):
     chaos_env.setenv("REPRO_CHAOS_HANG", "vips:tetris:60")
     eng = SweepEngine(
