@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint verify oracle bench bench-quick bench-fastpath bench-scheme-zoo bench-service faults trace all
+.PHONY: test lint verify oracle bench bench-scheme-zoo faults trace all
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -21,17 +21,8 @@ oracle:          ## differential + metamorphic oracle run (docs/ORACLE.md)
 bench:           ## paper-figure benches (prints + writes benchmarks/out/)
 	$(PYTHON) -m pytest benchmarks/ -q
 
-bench-quick:     ## full Fig 11-14 grid, DES + fastpath -> BENCH_sweep.json
-	$(PYTHON) benchmarks/quick_sweep.py
-
-bench-fastpath:  ## fastpath/vector speedup gates -> BENCH_fastpath.json
-	$(PYTHON) benchmarks/bench_fastpath.py
-
 bench-scheme-zoo: ## cross-paper scheme x workload grid -> BENCH_scheme_zoo.json
 	$(PYTHON) benchmarks/bench_scheme_zoo.py
-
-bench-service:   ## pinned two-tenant server run -> BENCH_service.json
-	$(PYTHON) benchmarks/bench_service.py
 
 faults:          ## fault-injection smoke: tests at 1e-3 + overhead bench
 	REPRO_VERIFY=1 REPRO_FAULT_RATE=1e-3 $(PYTHON) -m pytest -x -q tests/test_faults.py

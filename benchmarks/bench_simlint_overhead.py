@@ -14,9 +14,9 @@ Two claims from docs/SIMLINT.md are checked here:
    per-write cost is reported next to the disabled run so regressions
    in the checker itself show up in benchmarks/out/.
 
-The workload mirrors ``bench_core_throughput``'s scalar scheme loop:
-per-write ``TetrisWrite.write`` over synthetic content, the path every
-full-system experiment exercises per serviced write.
+The workload is a scalar scheme loop: per-write ``TetrisWrite.write``
+over synthetic content, the path every full-system experiment exercises
+per serviced write.
 """
 
 from __future__ import annotations

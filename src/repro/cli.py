@@ -445,12 +445,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          o.error.error_type, "", "", ""])
             continue
         r = o.row
-        norm = r.normalized(base[r.workload])
+        # A workload whose DCW cell failed has nothing to normalize to.
+        if r.workload in base:
+            norm = r.normalized(base[r.workload])
+            ratios = [norm["read_latency"], norm["write_latency"],
+                      norm["ipc_improvement"], norm["running_time"]]
+        else:
+            ratios = ["n/a"] * 4
         rows.append(
             [
-                r.workload, r.scheme,
-                norm["read_latency"], norm["write_latency"],
-                norm["ipc_improvement"], norm["running_time"],
+                r.workload, r.scheme, *ratios,
                 "hit" if o.cached else ("resumed" if o.resumed else "ran"),
             ]
         )

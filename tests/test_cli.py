@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -37,8 +39,6 @@ class TestCommands:
         assert "tetris" in out and "dcw" in out  # baseline auto-included
 
     def test_schemes_lists_the_registry(self, capsys, tmp_path):
-        import json
-
         from repro.schemes import SCHEME_REGISTRY
 
         out_file = tmp_path / "schemes.json"
@@ -109,8 +109,6 @@ class TestServiceCommands:
         assert "1/1 done" in out
 
     def test_submit_json_artifact(self, capsys, monkeypatch, tmp_path):
-        import json
-
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
         artifact = tmp_path / "job.json"
         code = main([
@@ -179,3 +177,109 @@ class TestServiceCommands:
         assert proc.returncode == 0, out
         assert f"unix:{sock}" in out
         assert "Traceback" not in out
+
+
+class TestSweepCommand:
+    """``sweep`` end to end: warm re-run, forced fastpath, journal
+    resume, and a failed baseline cell.
+
+    Each test checks the ``--json`` documents the CLI writes.  The
+    working directory is ``tmp_path``, so the default certificate
+    (``sweep-certificate.json``) lands there.
+    """
+
+    @staticmethod
+    def _sweep(argv, out):
+        code = main(["sweep", *argv, "--json", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_cache_warm_rerun_replays_every_cell(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / ".sweep-cache"))
+        argv = ["--schemes", "tetris", "three_stage",
+                "--workloads", "dedup", "vips", "--requests", "400",
+                "--workers", "2"]
+        code_cold, cold = self._sweep(argv, tmp_path / "cold.json")
+        code_warm, warm = self._sweep(argv, tmp_path / "warm.json")
+        assert code_cold == code_warm == 0
+        assert not cold["errors"] and not warm["errors"]
+        stats = warm["stats"]
+        assert stats["cache_hits"] / stats["cells"] >= 0.90
+        assert stats["executed"] == 0, "warm re-run invoked the DES"
+        assert warm["rows"] == cold["rows"]
+
+    def test_forced_fastpath_full_recheck_agrees_with_des(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.fastpath.agreement import compare_rows
+
+        monkeypatch.chdir(tmp_path)
+        grid = ["--schemes", "dcw", "tetris", "three_stage", "palp",
+                "tetris_relaxed", "--workloads", "dedup", "vips",
+                "--requests", "800", "--no-cache"]
+        cert_path = tmp_path / "cert.json"
+        code_fast, fast = self._sweep(
+            [*grid, "--fastpath", "force", "--recheck", "1.0",
+             "--certificate", str(cert_path)],
+            tmp_path / "fast.json",
+        )
+        code_des, des = self._sweep(
+            [*grid, "--fastpath", "off", "--certificate", ""],
+            tmp_path / "des.json",
+        )
+        assert code_fast == code_des == 0
+        assert not fast["errors"] and not des["errors"]
+        s = json.loads(cert_path.read_text())["summary"]
+        assert s["fastpath"] == s["cells"]
+        assert s["recheck_samples"] == s["cells"]
+        assert s["recheck_divergences"] == 0
+        for f_row, d_row in zip(fast["rows"], des["rows"], strict=True):
+            assert f_row["events"] == 0, "fastpath row claims DES events"
+            assert not compare_rows(f_row, d_row)
+
+    def test_journaled_sweep_resumes_with_zero_reexecution(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--schemes", "tetris", "dcw",
+                "--workloads", "dedup", "vips", "--requests", "400",
+                "--workers", "2", "--no-cache",
+                "--journal", str(tmp_path / "chaos.jsonl")]
+        code_first, first = self._sweep(argv, tmp_path / "first.json")
+        code_resumed, resumed = self._sweep(
+            [*argv, "--resume"], tmp_path / "resumed.json"
+        )
+        assert code_first == code_resumed == 0
+        assert not first["errors"] and not resumed["errors"]
+        stats = resumed["stats"]
+        assert stats["executed"] == 0, "resume re-executed journaled cells"
+        assert stats["resumed"] == stats["cells"]
+        assert resumed["rows"] == first["rows"]
+
+    def test_failed_baseline_cell_reports_instead_of_crashing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Regression: a workload whose DCW cell failed raised KeyError
+        while normalizing, before the table or ``--json`` was written."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CHAOS_HANG", "dedup:dcw:30")
+        code, doc = self._sweep(
+            ["--schemes", "tetris", "--workloads", "dedup", "vips",
+             "--requests", "100", "--workers", "2", "--no-cache",
+             "--fastpath", "off", "--certificate", "",
+             "--cell-deadline", "0.5", "--max-retries", "0"],
+            tmp_path / "out.json",
+        )
+        assert code == 1  # cell errors fail the sweep, as always
+        assert [(e["workload"], e["scheme"], e["error_type"])
+                for e in doc["errors"]] == [("dedup", "dcw", "CellTimeout")]
+        assert len(doc["rows"]) == 3
+        table = {
+            tuple(line.split()[:2]): line.split()[2:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["dedup"], ["vips"])
+        }
+        assert table[("dedup", "dcw")][:2] == ["ERROR", "CellTimeout"]
+        assert table[("dedup", "tetris")] == ["n/a"] * 4 + ["ran"]
+        assert table[("vips", "dcw")] == ["1.000"] * 4 + ["ran"]

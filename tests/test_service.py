@@ -26,7 +26,13 @@ import pytest
 
 from repro.parallel import ResultCache, RetryPolicy, SweepEngine
 from repro.parallel.engine import PlannedCell, SweepCell
-from repro.service import GridSpec, ProtocolError, SweepService, job_id_for
+from repro.service import (
+    GridSpec,
+    ProtocolError,
+    ServiceClient,
+    SweepService,
+    job_id_for,
+)
 from repro.service.jobs import Job, JobStore
 from repro.service.protocol import (
     E_ADMISSION,
@@ -116,37 +122,59 @@ def slow_cells(monkeypatch, delay_s: float = 0.05):
 # Exactly-once execution + byte-identity across overlapping tenants.
 # ----------------------------------------------------------------------
 def test_two_tenants_overlap_exactly_once_and_byte_identical(tmp_path):
+    """Through ``ServiceClient`` on a live socket: two overlapping
+    tenants, then a third tenant replaying both grids from the shared
+    journal/cache, then ``drain``."""
+    sock = tmp_path / "s.sock"
+
     async def run():
         svc = await make_service(tmp_path)
-        server = await svc.serve_unix(tmp_path / "s.sock")
+        server = await svc.serve_unix(sock)
+        endpoint = f"unix:{sock}"
         try:
-            ra, rb = await asyncio.gather(
-                rpc(tmp_path / "s.sock", submit_frame("alice", GRID_A)),
-                rpc(tmp_path / "s.sock", submit_frame("bob", GRID_B)),
+            alice = ServiceClient(endpoint, tenant="alice")
+            bob = ServiceClient(endpoint, tenant="bob")
+            ja, jb = await asyncio.gather(
+                asyncio.to_thread(lambda: alice.submit(GRID_A)["job"]),
+                asyncio.to_thread(lambda: bob.submit(GRID_B)["job"]),
             )
-            assert ra["ok"] and rb["ok"]
-            await asyncio.wait_for(svc.scheduler.wait_idle(), 120)
-            sa = await rpc(
-                tmp_path / "s.sock", request_frame("status", job=ra["job"])
+            sa, sb = await asyncio.gather(
+                asyncio.to_thread(alice.wait, ja),
+                asyncio.to_thread(bob.wait, jb),
             )
-            sb = await rpc(
-                tmp_path / "s.sock", request_frame("status", job=rb["job"])
-            )
+            counters = dict(svc.scheduler.counter_values())
+
+            # A third tenant's replay of both grids is finished at
+            # submit, executes nothing, and its watch streams still end
+            # in ``done``.
+            replay = ServiceClient(endpoint, tenant="replay")
+            for grid in (GRID_A, GRID_B):
+                reply = await asyncio.to_thread(replay.submit, grid)
+                assert reply["state"] == "done"
+                stream = await asyncio.to_thread(
+                    list, replay.watch(reply["job"])
+                )
+                assert stream[-1]["state"] == "done"
+            status = await asyncio.to_thread(replay.status)
+            assert status["counters"]["cells_executed"] == 5
+            drained = await asyncio.to_thread(replay.drain)
+            assert drained["ok"] and drained["draining"]
+            await asyncio.wait_for(svc.drained.wait(), 30)
         finally:
             server.close()
             await server.wait_closed()
             await svc.shutdown()
-        return svc, sa, sb
+        return svc, sa, sb, counters
 
-    svc, sa, sb = asyncio.run(run())
+    svc, sa, sb, counters = asyncio.run(run())
     assert sa["state"] == "done" and sb["state"] == "done"
     assert not sa["errors"] and not sb["errors"]
     # 4 + 2 cells with one overlap: exactly 5 unique executions, and the
     # shared cell was served to its second tenant by dedup or cache.
-    counters = svc.scheduler.counter_values()
     assert counters["cells_executed"] == 5
     assert counters.get("cells_failed", 0) == 0
-    jobs = list(svc.jobs.values())
+    assert counters.get("cells_cached", 0) + counters.get("cells_deduped", 0) == 1
+    jobs = [svc.jobs[sa["job"]], svc.jobs[sb["job"]]]
     assert sum(j.executed_cells for j in jobs) == 5
     assert sum(j.cached_cells + j.deduped_cells for j in jobs) == 1
     # Every unique cell journaled exactly once.
