@@ -91,6 +91,7 @@ __all__ = [
     "SweepStats",
     "FASTPATH_MODES",
     "cell_meta",
+    "cell_supervisor",
     "default_workers",
     "derive_cell_seeds",
     "execute_cell_payload",
@@ -422,54 +423,64 @@ def _cell_retry_signal(value) -> str | None:
     return "exception" if isinstance(value[1], CellError) else None
 
 
+def cell_supervisor(
+    *, workers: int, retry: RetryPolicy, name: str = "sweep"
+) -> WorkerSupervisor:
+    """The :class:`WorkerSupervisor` that :func:`run_cells` runs cells on.
+
+    No process starts until the first supervised batch; the caller owns
+    the pool's lifetime (``with cell_supervisor(...) as supervisor:``).
+    """
+    return WorkerSupervisor(
+        execute_cell_payload,
+        workers=workers,
+        policy=retry,
+        retry_value_signal=_cell_retry_signal,
+        name=name,
+    )
+
+
 def run_cells(
     batch: list[PlannedCell],
+    supervisor: WorkerSupervisor,
     *,
-    workers: int,
-    retry: RetryPolicy,
     cell_deadline_s: float | None = None,
-    name: str = "sweep",
     counts: dict[str, int] | None = None,
 ):
     """Yield ``(position, row | CellError)`` for every cell of ``batch``.
 
     ``position`` indexes ``batch``; results arrive in completion order.
-    With one worker (or one cell) every payload runs inline through
-    :func:`execute_cell_payload`.  Otherwise a :class:`WorkerSupervisor`
-    runs them: idle workers steal the next cell (batches follow the
-    grid's workload-major order, so a worker's trace cache keeps
-    hitting), and hung / killed / crashing cells are retried,
-    quarantined, or drained serially per ``docs/RESILIENCE.md``.
+    When ``supervisor`` was built for one worker every payload runs
+    inline through :func:`execute_cell_payload`.  Otherwise the
+    supervisor's workers run them, warm from any earlier batch: idle
+    workers steal the next cell (batches follow the grid's
+    workload-major order, so a worker's trace cache keeps hitting), and
+    hung / killed / crashing cells are retried, quarantined, or drained
+    serially per ``docs/RESILIENCE.md``.
 
     Each cell's deadline is ``cell_deadline_s`` when given (``0``
-    disables deadlines), else ``retry.deadline_s`` of the cell's trace
-    size.  A cell that never produced a value becomes a
-    :class:`CellError` built from the supervisor's failure report, and
-    every supervised :class:`CellError` carries the cell's ``attempts``
-    and ``last_signal``.  ``counts``, when given, receives the
-    supervisor's counters once the batch finishes (untouched inline).
+    disables deadlines), else the supervisor policy's ``deadline_s`` of
+    the cell's trace size.  A cell that never produced a value becomes
+    a :class:`CellError` built from the supervisor's failure report,
+    and every supervised :class:`CellError` carries the cell's
+    ``attempts`` and ``last_signal``.  ``counts``, when given, receives
+    this batch's supervisor counters once it finishes (untouched
+    inline).
     """
-    workers = min(workers, len(batch))
-    if workers <= 1:
+    if supervisor.workers <= 1:
         for pos, pc in enumerate(batch):
             yield pos, execute_cell_payload(pc.payload)[1]
         return
+    policy = supervisor.policy
 
     def deadline_for(payload: tuple) -> float | None:
         if cell_deadline_s is not None:
             return cell_deadline_s if cell_deadline_s > 0 else None
-        return retry.deadline_s(payload[5])  # the cell's requests_per_core
+        return policy.deadline_s(payload[5])  # the cell's requests_per_core
 
-    supervisor = WorkerSupervisor(
-        execute_cell_payload,
-        workers=workers,
-        policy=retry,
-        deadline_for=deadline_for,
-        retry_value_signal=_cell_retry_signal,
-        name=name,
-    )
     for report in supervisor.run(
-        (pos, pc.payload) for pos, pc in enumerate(batch)
+        ((pos, pc.payload) for pos, pc in enumerate(batch)),
+        deadline_for=deadline_for,
     ):
         if report.failure is not None:
             # The cell never produced a value: synthesize the error row
@@ -842,26 +853,26 @@ class SweepEngine:
             )
 
         counts: dict[str, int] = {}
-        for pos, result in run_cells(
-            pending,
-            workers=self.workers,
-            retry=self.retry,
-            cell_deadline_s=self.cell_deadline_s,
-            counts=counts,
-        ):
-            pc = pending[pos]
-            if isinstance(result, CellError):
-                outcomes[pc.index] = CellOutcome(pc.cell, error=result)
-                continue
-            outcomes[pc.index] = CellOutcome(pc.cell, row=result)
-            row_dict = dataclasses.asdict(result)
-            if pc.cache_key is not None:
-                self.cache.put(
-                    pc.cache_key,
-                    row_dict,
-                    meta=cell_meta(pc.cell, pc.lane, self._salt()),
-                )
-            self._journal_append(pc, row_dict)
+        with cell_supervisor(workers=self.workers, retry=self.retry) as pool:
+            for pos, result in run_cells(
+                pending,
+                pool,
+                cell_deadline_s=self.cell_deadline_s,
+                counts=counts,
+            ):
+                pc = pending[pos]
+                if isinstance(result, CellError):
+                    outcomes[pc.index] = CellOutcome(pc.cell, error=result)
+                    continue
+                outcomes[pc.index] = CellOutcome(pc.cell, row=result)
+                row_dict = dataclasses.asdict(result)
+                if pc.cache_key is not None:
+                    self.cache.put(
+                        pc.cache_key,
+                        row_dict,
+                        meta=cell_meta(pc.cell, pc.lane, self._salt()),
+                    )
+                self._journal_append(pc, row_dict)
 
         recheck_records = self._recheck(planned, outcomes)
         certificate = self._certificate(planned, outcomes, recheck_records)
@@ -1015,19 +1026,19 @@ def parallel_map(fn, items, *, workers: int = 1) -> list:
         return []
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    supervisor = WorkerSupervisor(
+    results: list = [None] * len(items)
+    with WorkerSupervisor(
         _map_task,
         workers=min(workers, len(items)),
         policy=RetryPolicy(max_retries=0),
         name="map",
-    )
-    results: list = [None] * len(items)
-    for report in supervisor.run(
-        (i, (fn, item)) for i, item in enumerate(items)
-    ):
-        if report.failure is not None:
-            if isinstance(report.value, BaseException):
-                raise report.value
-            raise WorkerTaskError(report.failure)
-        results[report.task_id] = report.value
+    ) as supervisor:
+        for report in supervisor.run(
+            (i, (fn, item)) for i, item in enumerate(items)
+        ):
+            if report.failure is not None:
+                if isinstance(report.value, BaseException):
+                    raise report.value
+                raise WorkerTaskError(report.failure)
+            results[report.task_id] = report.value
     return results

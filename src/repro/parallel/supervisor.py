@@ -27,6 +27,16 @@ to PCM writes (``docs/FAULTS.md``), lifted to the execution layer
   process isolation and drains the remaining tasks serially in-process
   rather than aborting.
 
+The worker processes belong to the supervisor, not to one run: a
+:meth:`~WorkerSupervisor.run` hands its healthy idle workers back to
+the pool, so the next run starts on warm processes (their imports and
+per-process caches intact), and :meth:`~WorkerSupervisor.close` (or
+leaving a ``with`` block) tears them down.  Everything else is per run:
+the counters, the replacement budget, the degrade-to-serial decision
+and the deadline function.  A worker that died while idle between runs
+is dropped and replaced when the next run starts, without charging any
+task.
+
 Every retry, timeout, death, and degradation emits a
 :meth:`~repro.obs.Tracer.instant` on the active tracer (when one is
 installed) and bumps a counter in :attr:`WorkerSupervisor.metrics`, so a
@@ -45,6 +55,7 @@ import hashlib
 import math
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -241,6 +252,13 @@ class _Worker:
             self.conn.close()
 
 
+def _destroy_pool(pool: list[_Worker]) -> None:
+    """Gracefully stop every worker of ``pool`` and empty it."""
+    for w in pool:
+        w.destroy(graceful=True)
+    pool.clear()
+
+
 # ----------------------------------------------------------------------
 # The supervisor.
 # ----------------------------------------------------------------------
@@ -255,19 +273,22 @@ class WorkerSupervisor:
     workers:
         Worker process count (>= 1).  The supervisor still runs its
         state machine at ``workers=1``; callers wanting a zero-machinery
-        inline loop should branch before constructing one.
+        inline loop branch on ``workers`` instead of calling :meth:`run`
+        (as :func:`~repro.parallel.engine.run_cells` does).
     policy:
         The :class:`RetryPolicy` governing backoff, retry and
         degradation bounds.
-    deadline_for:
-        Optional ``payload -> seconds | None`` giving each task its
-        wall-clock deadline; ``None`` (default) disables deadlines.
     retry_value_signal:
         Optional ``value -> str | None`` classifying a *returned* value
         as a retryable failure (the engine maps ``CellError`` rows to
         ``"exception"``); ``None`` treats every returned value as final.
     name:
         Label used for tracer events (``<name>.retry`` instants etc.).
+
+    Worker processes are spawned lazily by :meth:`run` and outlive it;
+    use the supervisor as a context manager, or call :meth:`close`, to
+    tear them down.  A supervisor collected without either still stops
+    its workers.
     """
 
     def __init__(
@@ -276,7 +297,6 @@ class WorkerSupervisor:
         *,
         workers: int,
         policy: RetryPolicy | None = None,
-        deadline_for: Callable[[object], float | None] | None = None,
         retry_value_signal: Callable[[object], str | None] | None = None,
         name: str = "sweep",
     ) -> None:
@@ -285,9 +305,16 @@ class WorkerSupervisor:
         self.task_fn = task_fn
         self.workers = int(workers)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.deadline_for = deadline_for
         self.retry_value_signal = retry_value_signal
         self.name = name
+        #: the warm workers; mutated in place only, so the finalizer
+        #: below always sees the live list
+        self._pool: list[_Worker] = []
+        weakref.finalize(self, _destroy_pool, self._pool)
+        self._start_run()
+
+    def _start_run(self) -> None:
+        """Fresh per-run state: counters and the degradation flag."""
         self.metrics = MetricRegistry()
         self._c = {
             key: self.metrics.counter(f"supervisor.{key}")
@@ -298,9 +325,20 @@ class WorkerSupervisor:
         }
         self.degraded = False
 
+    # -- lifetime --------------------------------------------------------
+    def close(self) -> None:
+        """Stop the worker processes; a later :meth:`run` spawns anew."""
+        _destroy_pool(self._pool)
+
+    def __enter__(self) -> WorkerSupervisor:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- observability -------------------------------------------------
     def counts(self) -> dict[str, int]:
-        """Current supervisor counters as plain ints."""
+        """The current (or last) run's supervisor counters as plain ints."""
         return {key: int(c.value) for key, c in self._c.items()}
 
     def _event(self, kind: str, **args) -> None:
@@ -385,21 +423,30 @@ class WorkerSupervisor:
         return max(horizon, 0.001)
 
     # -- the run loop ---------------------------------------------------
-    def run(self, payloads) -> Iterator[TaskReport]:
+    def run(
+        self,
+        payloads,
+        *,
+        deadline_for: Callable[[object], float | None] | None = None,
+    ) -> Iterator[TaskReport]:
         """Yield a :class:`TaskReport` per ``(task_id, payload)`` pair.
 
         Reports are yielded in completion order; callers reassemble by
-        ``task_id``.  The generator owns the worker processes: exhausting
-        or closing it tears them down.
+        ``task_id``.  ``deadline_for`` (``payload -> seconds | None``)
+        gives each task its wall-clock deadline; ``None`` disables
+        deadlines.  The run reuses the pool's warm workers, spawning
+        only up to ``min(workers, tasks)``; when it ends, healthy idle
+        workers stay in the pool and any worker still holding a task
+        (the caller stopped early) is killed.  Counters, the
+        replacement budget and :attr:`degraded` start fresh each run.
         """
+        self._start_run()
         ready: deque[_Attempt] = deque(
             _Attempt(
                 task_id=task_id,
                 payload=payload,
                 deadline_s=(
-                    self.deadline_for(payload)
-                    if self.deadline_for is not None
-                    else None
+                    deadline_for(payload) if deadline_for is not None else None
                 ),
             )
             for task_id, payload in payloads
@@ -408,10 +455,14 @@ class WorkerSupervisor:
         if not ready:
             return
         ctx = get_context()
-        pool: list[_Worker] = [
-            _Worker(ctx, self.task_fn)
-            for _ in range(min(self.workers, len(ready)))
-        ]
+        pool = self._pool
+        for w in [w for w in pool if not w.process.is_alive()]:
+            # Died while idle between runs: no task to charge.
+            self._event("worker-death", task=None, signal=w.exit_signal())
+            w.destroy(graceful=False)
+            pool.remove(w)
+        while len(pool) < min(self.workers, len(ready)):
+            pool.append(_Worker(ctx, self.task_fn))
         replacements = 0
         try:
             while ready or delayed or any(w.task is not None for w in pool):
@@ -465,8 +516,11 @@ class WorkerSupervisor:
                 if replacements > self.policy.max_replacements:
                     self._degrade(pool, ready, delayed)
         finally:
-            for w in pool:
-                w.destroy(graceful=True)
+            # A worker still holding a task would answer it into the
+            # next run: only healthy idle workers go back to the pool.
+            for w in [w for w in pool if w.task is not None or w.dead]:
+                w.destroy(graceful=False)
+                pool.remove(w)
 
     # -- event handlers --------------------------------------------------
     def _collect(self, w: _Worker, ready, delayed) -> TaskReport | None:

@@ -27,6 +27,10 @@ Execution is batched: each round selects up to ``workers`` cells
 :meth:`SweepEngine.run` uses, and stamps stored rows with the engine's
 :func:`~repro.parallel.engine.cell_meta` — so rows, deadlines, retries,
 failure rows and journal records match a serial run of the same grid.
+Every batch runs on one supervised worker pool that lives as long as
+the scheduler (its workers start with the first supervised batch and
+stop at :meth:`Scheduler.close`), and each cell is persisted and routed
+to its waiters the moment it lands, not when its batch ends.
 """
 
 from __future__ import annotations
@@ -34,11 +38,19 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.obs import MetricRegistry
-from repro.parallel.engine import CellError, PlannedCell, cell_meta, run_cells
+from repro.parallel.engine import (
+    CellError,
+    PlannedCell,
+    cell_meta,
+    cell_supervisor,
+    run_cells,
+)
 from repro.parallel.journal import SweepJournal
 from repro.parallel.resultcache import ResultCache, code_salt
 from repro.parallel.supervisor import RetryPolicy
@@ -101,6 +113,10 @@ class Scheduler:
         self.max_queued_cells = int(max_queued_cells)
         self.quantum = float(quantum)
         self.retry = retry if retry is not None else RetryPolicy()
+        #: the warm worker pool every batch runs on (see :meth:`close`)
+        self._pool = cell_supervisor(
+            workers=self.workers, retry=self.retry, name="service"
+        )
         self.tenants: dict[str, TenantState] = {}
         #: round-robin FIFO of backlogged tenants; a tenant rejoins at
         #: the tail after service, so small batches resume where the
@@ -263,8 +279,14 @@ class Scheduler:
     # Dispatch loop.
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Dispatch batches until :meth:`stop`; blocking work in threads."""
+        """Dispatch batches until :meth:`stop`; blocking work in threads.
+
+        The executor thread hands each completion back through
+        ``call_soon_threadsafe`` as soon as it is persisted, so waiters
+        see a row while the rest of its batch is still running.
+        """
         loop = asyncio.get_running_loop()
+        route = partial(loop.call_soon_threadsafe, self._complete)
         while True:
             batch = self._select_batch(max(1, self.workers))
             if not batch:
@@ -275,16 +297,16 @@ class Scheduler:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            start = loop.time()
-            results = await loop.run_in_executor(None, self._run_batch, batch)
-            self._note_cell_seconds((loop.time() - start) / len(batch))
-            for work, kind, outcome in results:
-                self._complete(work, kind, outcome)
+            await loop.run_in_executor(None, self._run_batch, batch, route)
 
     def stop(self) -> None:
         """Finish queued work, then let :meth:`run` return."""
         self._stopping = True
         self._wake.set()
+
+    def close(self) -> None:
+        """Stop the worker pool (blocking; call after :meth:`run` returned)."""
+        self._pool.close()
 
     async def wait_idle(self) -> None:
         """Block until no cell is queued or executing (drain barrier)."""
@@ -293,30 +315,32 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Batch execution (executor thread; blocking by design).
     # ------------------------------------------------------------------
-    def _run_batch(self, batch: list[CellWork]) -> list[tuple]:
-        """Execute a batch and persist successes; returns completions
-        in batch order."""
-        values = dict(
-            run_cells(
-                [work.planned for work in batch],
-                workers=self.workers,
-                retry=self.retry,
-                name="service",
-            )
-        )
+    def _run_batch(self, batch: list[CellWork], route=None) -> list[tuple]:
+        """Execute a batch, persisting each success as it lands.
+
+        ``route``, when given, is called with ``(work, kind, outcome,
+        cell_s)`` for every completion once it is durable; ``cell_s`` is
+        the seconds from batch start to that cell's result.  Returns the
+        ``(work, kind, outcome)`` completions in completion order.
+        """
+        start = time.monotonic()
         out: list[tuple] = []
-        for pos, work in enumerate(batch):
-            value = values[pos]
+        planned = [work.planned for work in batch]
+        for pos, value in run_cells(planned, self._pool):
+            work = batch[pos]
+            outcome = dataclasses.asdict(value)
             if isinstance(value, CellError):
-                out.append((work, "error", dataclasses.asdict(value)))
-                continue
-            row = dataclasses.asdict(value)
-            pc = work.planned
-            if self.cache is not None and pc.cache_key is not None:
-                meta = cell_meta(pc.cell, pc.lane, self._salt)
-                self.cache.put(pc.cache_key, row, meta=meta)
-            self._journal_row(pc, row)
-            out.append((work, "row", row))
+                kind = "error"
+            else:
+                kind = "row"
+                pc = work.planned
+                if self.cache is not None and pc.cache_key is not None:
+                    meta = cell_meta(pc.cell, pc.lane, self._salt)
+                    self.cache.put(pc.cache_key, outcome, meta=meta)
+                self._journal_row(pc, outcome)
+            out.append((work, kind, outcome))
+            if route is not None:
+                route(work, kind, outcome, time.monotonic() - start)
         return out
 
     def _journal_row(self, pc: PlannedCell, row: dict) -> None:
@@ -331,7 +355,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Completion routing (event loop).
     # ------------------------------------------------------------------
-    def _complete(self, work: CellWork, kind: str, outcome: dict) -> None:
+    def _complete(
+        self, work: CellWork, kind: str, outcome: dict, cell_s: float
+    ) -> None:
+        self._note_cell_seconds(cell_s)
         pc = work.planned
         self.inflight.pop(pc.journal_key, None)
         self._m.counter(
@@ -400,13 +427,18 @@ class Scheduler:
         return 0
 
     def _note_cell_seconds(self, cell_s: float) -> None:
+        """Fold one cell's execution seconds into the service-rate EMA."""
         if self._ema_cell_s is None:
             self._ema_cell_s = cell_s
         else:
             self._ema_cell_s = 0.7 * self._ema_cell_s + 0.3 * cell_s
 
     def eta_s(self, remaining_cells: int) -> float:
-        """Estimated seconds until ``remaining_cells`` more completions."""
+        """Estimated seconds until ``remaining_cells`` more completions.
+
+        Per-cell execution seconds times the cells, over ``workers``
+        parallel workers.
+        """
         per_cell_s = self._ema_cell_s if self._ema_cell_s is not None else 0.5
         return round(
             per_cell_s * max(0, remaining_cells) / max(1, self.workers), 3

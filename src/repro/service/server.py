@@ -125,11 +125,14 @@ class SweepService:
             self.scheduler.attach(job, resolved, admit=False)
 
     async def shutdown(self) -> None:
-        """Stop dispatching after the queue drains and join the task."""
+        """Drain the queue, join the dispatcher, stop the worker pool."""
         self.scheduler.stop()
         if self._dispatch_task is not None:
             await self._dispatch_task
             self._dispatch_task = None
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.scheduler.close
+        )
 
     async def serve_unix(self, path: str | Path) -> asyncio.AbstractServer:
         await self.start()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -19,6 +20,23 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 os.environ.setdefault("REPRO_NO_CACHE", "1")
 
 from repro.config import default_config  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_processes():
+    """Fail any test that leaves a worker process running.
+
+    Supervised pools outlive a single run by design, so their owners
+    (``SweepEngine.run``, ``parallel_map``, ``SweepService.shutdown``)
+    must tear them down.  Leaked processes are killed before failing so
+    one leak cannot cascade into the next test.
+    """
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.kill()
+        proc.join()
+    assert not leaked, f"test leaked worker processes: {leaked}"
 
 
 @pytest.fixture

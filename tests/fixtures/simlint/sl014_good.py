@@ -14,11 +14,11 @@ def run_cell(payload):
 
 
 def sweep_supervised(payloads):
-    supervisor = WorkerSupervisor(
+    with WorkerSupervisor(
         run_cell, workers=2, policy=RetryPolicy(max_retries=1)
-    )
-    reports = supervisor.run(enumerate(payloads))
-    return sorted((r.task_id, r.value) for r in reports)
+    ) as supervisor:
+        reports = supervisor.run(enumerate(payloads))
+        return sorted((r.task_id, r.value) for r in reports)
 
 
 def map_supervised(items):

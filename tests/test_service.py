@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
 
 from repro.parallel import ResultCache, RetryPolicy, SweepEngine
-from repro.parallel.engine import PlannedCell, SweepCell
+from repro.parallel.engine import CellError, PlannedCell, SweepCell
 from repro.service import (
     GridSpec,
     ProtocolError,
@@ -61,6 +64,16 @@ GRID_SMALL = {
     "workloads": ["swaptions"],
     "requests_per_core": REQUESTS,
 }
+# Disjoint from GRID_A: a follow-up job that must execute on the pool.
+GRID_C = {
+    "schemes": ["dcw", "tetris"],
+    "workloads": ["ferret"],
+    "requests_per_core": REQUESTS,
+}
+#: One retry, half a second per attempt: hung cells fail fast.
+HANG_POLICY = RetryPolicy(
+    max_retries=1, deadline_base_s=0.5, deadline_per_request_s=0.0
+)
 
 
 def serial_row_bytes(grid: dict) -> list[str]:
@@ -201,6 +214,17 @@ def test_workers_gt1_supervised_batch_byte_identical(tmp_path):
     assert row_bytes(status["rows"]) == serial_row_bytes(GRID_A)
 
 
+def worker_pids() -> set[int]:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+async def run_job(svc: SweepService, grid: dict, tenant: str = "alice"):
+    """Submit ``grid``, wait for the scheduler to go idle, return status."""
+    reply = await svc._dispatch(submit_frame(tenant, grid), None)
+    await asyncio.wait_for(svc.scheduler.wait_idle(), 120)
+    return await svc._dispatch(request_frame("status", job=reply["job"]), None)
+
+
 def test_workers_gt1_hung_cell_times_out_and_the_grid_finishes(
     tmp_path, monkeypatch
 ):
@@ -230,6 +254,100 @@ def test_workers_gt1_hung_cell_times_out_and_the_grid_finishes(
     assert err["last_signal"] == "timeout"
     hung = 3    # grid order: dedup x {dcw, tetris}, vips x {dcw, tetris}
     assert row_bytes(status["rows"]) == expected[:hung] + expected[hung + 1:]
+
+
+def test_lone_cell_batch_is_supervised_with_a_deadline(tmp_path, monkeypatch):
+    # A one-cell batch on a two-worker server used to run inside the
+    # server process: no deadline, no isolation.
+    monkeypatch.setenv("REPRO_CHAOS_HANG", "swaptions:dcw:5")
+
+    async def run():
+        svc = await make_service(tmp_path, workers=2, retry=HANG_POLICY)
+        try:
+            reply = await svc._dispatch(submit_frame("alice", GRID_SMALL), None)
+            await asyncio.wait_for(svc.scheduler.wait_idle(), 4)
+            return await svc._dispatch(
+                request_frame("status", job=reply["job"]), None
+            )
+        finally:
+            await svc.shutdown()
+
+    status = asyncio.run(run())
+    assert status["state"] == "done"
+    assert not status["rows"]
+    [err] = status["errors"]
+    assert err["error_type"] == "CellTimeout"
+    assert err["attempts"] == 2
+    assert err["last_signal"] == "timeout"
+
+
+# ----------------------------------------------------------------------
+# The worker pool lives as long as the scheduler.
+# ----------------------------------------------------------------------
+def test_consecutive_jobs_run_on_the_same_warm_workers(tmp_path):
+    async def run():
+        svc = await make_service(tmp_path, workers=2)
+        try:
+            first = await run_job(svc, GRID_A)
+            pids_after_first = worker_pids()
+            second = await run_job(svc, GRID_C)
+            pids_after_second = worker_pids()
+        finally:
+            await svc.shutdown()
+        return first, second, pids_after_first, pids_after_second
+
+    first, second, pids_first, pids_second = asyncio.run(run())
+    assert len(pids_first) == 2
+    assert pids_second == pids_first
+    assert not multiprocessing.active_children()    # shutdown stopped them
+    assert row_bytes(first["rows"]) == serial_row_bytes(GRID_A)
+    assert row_bytes(second["rows"]) == serial_row_bytes(GRID_C)
+
+
+def test_worker_killed_while_idle_is_replaced_without_charging_a_cell(
+    tmp_path,
+):
+    async def run():
+        svc = await make_service(tmp_path, workers=2)
+        try:
+            await run_job(svc, GRID_A)
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            second = await run_job(svc, GRID_C)
+            return victim.pid, second, svc.scheduler._pool.counts()
+        finally:
+            await svc.shutdown()
+
+    victim, second, counts = asyncio.run(run())
+    assert victim not in worker_pids()
+    assert second["state"] == "done" and not second["errors"]
+    assert row_bytes(second["rows"]) == serial_row_bytes(GRID_C)
+    # GRID_C's two cells are one batch: the idle death was noticed and
+    # its worker replaced before dispatch, so no cell was retried.
+    assert counts["worker_deaths"] == 1
+    assert counts["retries"] == 0 and counts["dispatched"] == 2
+
+
+def test_job_after_a_hung_cell_completes_on_the_replacement_worker(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_CHAOS_HANG", "vips:tetris:60")
+
+    async def run():
+        svc = await make_service(tmp_path, workers=2, retry=HANG_POLICY)
+        try:
+            hung = await run_job(svc, GRID_A)
+            after = await run_job(svc, GRID_C)
+            return hung, after
+        finally:
+            await svc.shutdown()
+
+    hung, after = asyncio.run(run())
+    [err] = hung["errors"]
+    assert err["error_type"] == "CellTimeout"
+    assert after["state"] == "done" and not after["errors"]
+    assert row_bytes(after["rows"]) == serial_row_bytes(GRID_C)
 
 
 def test_engine_and_service_journal_the_same_record(tmp_path):
@@ -337,6 +455,35 @@ def test_admission_rejects_overflow_with_retry_after(tmp_path):
     assert isinstance(exc.retry_after_s, float) and exc.retry_after_s >= 0.0
     assert "limit 2" in exc.message
     assert ok["ok"]
+
+
+def test_eta_divides_per_cell_seconds_by_workers_once(monkeypatch):
+    import repro.service.scheduler as scheduler_mod
+    from repro.service.scheduler import TenantState
+
+    def two_cells_after_200ms(batch, *args, **kwargs):
+        time.sleep(0.2)
+        for pos, pc in enumerate(batch):
+            yield pos, CellError(
+                workload=pc.cell.workload, scheme=pc.cell.scheme,
+                seed=pc.cell.seed, variant=pc.cell.variant,
+                error_type="Stub", message="", traceback_text="",
+            )
+
+    monkeypatch.setattr(scheduler_mod, "run_cells", two_cells_after_200ms)
+    sched = Scheduler(cache=None, cell_journal=None, workers=2)
+    sched.tenants["t"] = TenantState("t")
+    sched.tenants["t"].queue.extend([_queued("a", "t"), _queued("b", "t")])
+    sched._active.append("t")
+    sched.stop()                 # one batch, then run() returns
+
+    async def run():
+        await asyncio.wait_for(sched.run(), 10)
+
+    asyncio.run(run())
+    # Each cell took 0.2 s of a worker; ten more cells over two workers
+    # take about 1.0 s.
+    assert sched.eta_s(10) == pytest.approx(1.0, abs=0.15)
 
 
 # ----------------------------------------------------------------------

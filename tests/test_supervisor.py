@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -100,6 +103,62 @@ def test_supervisor_quarantines_persistent_exceptions():
     assert sup.counts()["quarantined"] == 1
 
 
+def _sleep_then_double(payload):
+    value, sleep_s = payload
+    time.sleep(sleep_s)
+    return value * 2
+
+
+def _worker_pids() -> set[int]:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def test_runs_on_one_supervisor_reuse_workers_and_count_per_run():
+    with WorkerSupervisor(_double, workers=2, policy=FAST_RETRY) as sup:
+        first = list(sup.run((i, i) for i in range(6)))
+        pids = _worker_pids()
+        assert sup.counts()["dispatched"] == 6
+        second = list(sup.run((i, i) for i in range(4)))
+        assert _worker_pids() == pids and len(pids) == 2
+        assert sup.counts()["dispatched"] == 4
+    assert not multiprocessing.active_children()
+    for reports in (first, second):
+        assert all(r.value == r.task_id * 2 for r in reports)
+        assert all(r.attempts == 1 and not r.serial for r in reports)
+
+
+def test_degradation_is_scoped_to_one_run():
+    policy = RetryPolicy(max_retries=1, max_replacements=0,
+                         backoff_base_s=0.01, poll_interval_s=0.02)
+    with WorkerSupervisor(_sleep_then_double, workers=1, policy=policy) as sup:
+        # The first attempt blows its deadline; with no replacement
+        # budget the retry drains serially in-process (no deadline).
+        [hung] = sup.run([(0, (1, 0.3))], deadline_for=lambda _: 0.1)
+        assert sup.degraded and hung.serial and hung.value == 2
+        assert sup.counts()["serial_tasks"] == 1
+        clean = list(sup.run((i, (i, 0.0)) for i in range(3)))
+        assert not sup.degraded
+        assert not any(r.serial for r in clean)
+        assert sup.counts()["serial_tasks"] == 0
+        assert sup.counts()["timeouts"] == 0
+
+
+def test_worker_killed_while_idle_is_replaced_without_charging_a_task():
+    with WorkerSupervisor(_double, workers=2, policy=FAST_RETRY) as sup:
+        list(sup.run((i, i) for i in range(2)))
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10)
+        reports = list(sup.run((i, i) for i in range(4)))
+        assert victim.pid not in _worker_pids()
+        assert len(_worker_pids()) == 2
+        counts = sup.counts()
+    assert sorted(r.value for r in reports) == [0, 2, 4, 6]
+    assert all(r.attempts == 1 and r.failure is None for r in reports)
+    assert counts["worker_deaths"] == 1
+    assert counts["retries"] == 0 and counts["dispatched"] == 4
+
+
 def test_retry_jitter_is_deterministic_and_bounded():
     values = [retry_jitter(7, task, attempt)
               for task in range(20) for attempt in range(3)]
@@ -162,6 +221,23 @@ def test_hung_cell_is_quarantined_with_attempts_gt_1(chaos_env):
     # Every other cell still completed.
     assert len(res.rows) == len(SCHEMES) * len(WORKLOADS) - 1
     assert "attempts=2" in err.format()
+
+
+def test_lone_cell_of_a_multi_worker_engine_gets_a_deadline(chaos_env):
+    # A one-cell run at workers=2 used to execute inline, unsupervised.
+    chaos_env.setenv("REPRO_CHAOS_HANG", "swaptions:dcw:5")
+    eng = SweepEngine(
+        requests_per_core=REQUESTS, workers=2, cache=False,
+        cell_deadline_s=0.5,
+        retry=RetryPolicy(max_retries=1, backoff_base_s=0.01,
+                          poll_interval_s=0.02),
+    )
+    started = time.monotonic()
+    [err] = eng.run(("dcw",), ("swaptions",)).errors
+    assert time.monotonic() - started < 4.0
+    assert err.error_type == "CellTimeout"
+    assert err.attempts == 2
+    assert err.last_signal == "timeout"
 
 
 @pytest.mark.parametrize("caller", ["engine", "service"])
