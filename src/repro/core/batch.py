@@ -42,47 +42,58 @@ class BatchPackResult:
         return self.service_units() * t_set_ns
 
 
-def _ffd_pass(
-    demand: np.ndarray, capacity: np.ndarray, budget: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _check_budget(need: np.ndarray, budget: float) -> None:
+    if float(need.max()) > budget:
+        raise ValueError(
+            f"burst current {need.max()} exceeds the power budget {budget}"
+        )
+
+
+def _first_fit(
+    bins: np.ndarray, nbins: np.ndarray, need: np.ndarray, active: np.ndarray,
+    budget: float,
+) -> None:
+    """Place one burst per ``active`` row into its first bin with headroom.
+
+    ``bins`` is the (W, B) matrix of current committed per bin, ``inf``
+    where a row has not opened the bin, and ``nbins`` the per-row open
+    count; both are updated in place.  A row with no fitting bin opens
+    its next one.  Bins no row has opened cannot fit, so only the first
+    ``max(nbins)`` columns are searched; one column keeps ``argmax``
+    defined before any row opens a bin.
+    """
+    top = max(1, int(nbins.max()))
+    fits = bins[:, :top] + need[:, None] <= budget
+    first = np.argmax(fits, axis=1)
+    placed = fits[np.arange(len(fits)), first] & active
+    rows = np.nonzero(placed)[0]
+    bins[rows, first[rows]] += need[rows]
+    rows = np.nonzero(active & ~placed)[0]
+    if rows.size:
+        if int(nbins[rows].max()) >= bins.shape[1]:
+            raise ValueError("bin matrix too small for this demand")
+        bins[rows, nbins[rows]] = need[rows]
+        nbins[rows] += 1
+
+
+def _ffd_pass(demand: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact first-fit-decreasing, one column at a time across all rows.
 
     ``demand`` is (W, U), already sorted descending per row; zeros are
-    skipped.  ``capacity`` is the (W, B) matrix of current already
-    committed per bin (mutated in place).  Returns the per-row bin count
-    and the per-row bin index chosen for every column (-1 where skipped).
+    skipped.  Returns the per-row bin count and the (W, U) matrix of
+    current committed per bin (``inf`` for bins a row never opened).
     """
     W, U = demand.shape
-    B = capacity.shape[1]
+    bins = np.full((W, U), np.inf)
     nbins = np.zeros(W, dtype=np.int64)
-    choice = np.full((W, U), -1, dtype=np.int64)
-    cols = np.arange(B)
     for t in range(U):
         need = demand[:, t]
         active = need > 0
         if not active.any():
             break
-        if float(need.max()) > budget:
-            raise ValueError(
-                f"burst current {need.max()} exceeds the power budget {budget}"
-            )
-        open_mask = cols[None, :] < nbins[:, None]
-        fits = open_mask & (capacity + need[:, None] <= budget)
-        has_fit = fits.any(axis=1) & active
-        first = np.argmax(fits, axis=1)
-
-        rows_fit = np.nonzero(has_fit)[0]
-        capacity[rows_fit, first[rows_fit]] += need[rows_fit]
-        choice[rows_fit, t] = first[rows_fit]
-
-        rows_new = np.nonzero(active & ~has_fit)[0]
-        if rows_new.size:
-            if int(nbins[rows_new].max()) >= B:
-                raise ValueError("bin matrix too small for this demand")
-            capacity[rows_new, nbins[rows_new]] += need[rows_new]
-            choice[rows_new, t] = nbins[rows_new]
-            nbins[rows_new] += 1
-    return nbins, choice
+        _check_budget(need, budget)
+        _first_fit(bins, nbins, need, active, budget)
+    return nbins, bins
 
 
 def _split_demand(counts: np.ndarray, budget: float, cost: float) -> np.ndarray:
@@ -136,63 +147,67 @@ def pack_batch(
     n_reset = np.atleast_2d(np.asarray(n_reset, dtype=np.int64))
     if n_set.shape != n_reset.shape:
         raise ValueError("n_set / n_reset shape mismatch")
-    W, U = n_set.shape
+    W = n_set.shape[0]
 
     # ---- write-1 pass: FFD into whole write units --------------------
     in1 = n_set.astype(np.float64)
     if allow_split:
         in1 = _split_demand(n_set.astype(np.float64), power_budget, 1.0)
     in1 = np.sort(in1, axis=1)[:, ::-1]
-    wu_used = np.zeros((W, in1.shape[1]), dtype=np.float64)
-    result, _ = _ffd_pass(in1, wu_used, power_budget)
+    result, wu_used = _ffd_pass(in1, power_budget)
 
     # ---- write-0 pass: first-fit over sub-slots, then extras ---------
     in0 = n_reset.astype(np.float64) * L
     if allow_split:
         in0 = _split_demand(n_reset.astype(np.float64), power_budget, L)
     in0 = np.sort(in0, axis=1)[:, ::-1]
-    U1 = wu_used.shape[1]
     U0 = in0.shape[1]
     # Residual occupancy of the result*K interspace sub-slots: slot s of
-    # a row belongs to write unit s // K and is valid when s < result*K.
-    occ = np.repeat(wu_used, K, axis=1)  # (W, U1*K)
-    slot_idx = np.arange(U1 * K)
-    valid = slot_idx[None, :] < (result[:, None] * K)
+    # a row belongs to write unit s // K, and the units a row never
+    # opened hold inf, so only slots below result*K can fit.  Slots past
+    # the largest result*K fit in no row and are never built; one unit
+    # keeps argmax defined when result is 0 everywhere.
+    units = max(1, int(result.max(initial=0)))
+    occ = np.repeat(wu_used[:, :units], K, axis=1)  # (W, units*K)
+    every = np.arange(W)
 
-    extra = np.zeros((W, U0), dtype=np.float64)
+    extra = np.full((W, U0), np.inf)
     n_extra = np.zeros(W, dtype=np.int64)
-    extra_cols = np.arange(U0)
     for t in range(U0):
         need = in0[:, t]
         active = need > 0
         if not active.any():
             break
-        if float(need.max()) > power_budget:
-            raise ValueError(
-                f"burst current {need.max()} exceeds the power budget {power_budget}"
-            )
-        fits_main = valid & (occ + need[:, None] <= power_budget)
-        has_main = fits_main.any(axis=1) & active
+        _check_budget(need, power_budget)
+        fits_main = occ + need[:, None] <= power_budget
         first_main = np.argmax(fits_main, axis=1)
+        has_main = fits_main[every, first_main] & active
         rows_main = np.nonzero(has_main)[0]
         occ[rows_main, first_main[rows_main]] += need[rows_main]
 
         rest = active & ~has_main
         if rest.any():
-            fits_extra = (extra_cols[None, :] < n_extra[:, None]) & (
-                extra + need[:, None] <= power_budget
-            )
-            has_extra = fits_extra.any(axis=1) & rest
-            first_extra = np.argmax(fits_extra, axis=1)
-            rows_extra = np.nonzero(has_extra)[0]
-            extra[rows_extra, first_extra[rows_extra]] += need[rows_extra]
-
-            rows_new = np.nonzero(rest & ~has_extra)[0]
-            if rows_new.size:
-                extra[rows_new, n_extra[rows_new]] += need[rows_new]
-                n_extra[rows_new] += 1
+            _first_fit(extra, n_extra, need, rest, power_budget)
 
     return BatchPackResult(result=result, subresult=n_extra, K=K)
+
+
+def _window_max(a: np.ndarray, span: int) -> np.ndarray:
+    """Row-wise maximum of every ``span`` consecutive columns of ``a``.
+
+    Column ``i`` of the result is ``a[:, i : i + span].max(axis=1)``.
+    Built from doubling windows (1, 2, 4, ... columns) and two
+    overlapping power-of-two windows, so it takes ``O(log span)``
+    passes; ``max`` is exact, so the overlap changes no value.
+    """
+    out = a.shape[1] - span + 1
+    p = 1
+    while 2 * p <= span:
+        a = np.maximum(a[:, p:], a[:, :-p])
+        p *= 2
+    if p == span:
+        return a[:, :out]
+    return np.maximum(a[:, :out], a[:, span - p : span - p + out])
 
 
 def relaxed_subslots_batch(
@@ -241,24 +256,18 @@ def relaxed_subslots_batch(
             # Peak occupancy of the span starting at every offset below
             # the longest timeline (slots past a row's end are empty).
             top = int(n_occ.max())
-            peak = occ[:, :top].copy()
-            for d in range(1, span):
-                np.maximum(peak, occ[:, d : d + top], out=peak)
-            fits = (peak + need[:, None] <= limit) & (
-                np.arange(top)[None, :] < n_occ[:, None]
-            )
-            start = n_occ.copy()
+            peak = _window_max(occ[:, : top + span - 1], span)
+            # Offsets at or past a row's end are empty and so always fit:
+            # when no earlier offset does, the first fit is the row's end,
+            # which is where the burst is appended anyway.
+            fits = peak + need[:, None] <= limit
+            start = n_occ
             if top:
-                found = fits.any(axis=1)
-                start[found] = np.argmax(fits, axis=1)[found]
-            cols = np.arange(top + span)
-            hit = (
-                active[:, None]
-                & (cols[None, :] >= start[:, None])
-                & (cols[None, :] < start[:, None] + span)
-            )
-            window = occ[:, : top + span]
-            window[hit] = (window + need[:, None])[hit]
+                first = np.argmax(fits, axis=1)
+                start = np.where(fits[np.arange(W), first], first, n_occ)
+            rows = np.nonzero(active)[0]
+            slots = (rows * occ.shape[1] + start[rows])[:, None] + np.arange(span)
+            occ.reshape(-1)[slots] += need[rows, None]
             n_occ = np.where(active, np.maximum(n_occ, start + span), n_occ)
     return n_occ
 

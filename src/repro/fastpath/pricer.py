@@ -15,15 +15,26 @@ Two halves, mirroring the two halves of a DES cell
     watermark, no request ever waits: reads cost ``t_read``, writes cost
     the issuing core nothing (posted to the write queue).  Each core's
     timeline is a single ``cumsum`` over its records plus a scalar delay
-    offset ``D`` accumulated at regime boundaries; write arrivals are
-    merged across cores in time order by a small pick loop.
+    offset ``D`` accumulated at regime boundaries.  Write arrivals are
+    merged across cores in time order by a heap keyed on each core's
+    next write (found through a precomputed next-write index, not a
+    rescan of the reads before it).
   - **Drain-window regime.**  When occupancy reaches the high watermark
     the controller turns demand-blind, and queueing effects dominate.
     The model switches to an *exact* event simulation of the window
     (write completions, starved-read chains, core resumes) until the
     system is quiescent: drain flag off, no writes in flight, no queued
-    reads, no stalled cores.  Windows are rare (a few per thousand
-    writes) and short, so the exact replay costs little.
+    reads, no stalled cores.  Windows are the common case, not the
+    exception: at 2000 requests/core with the default watermarks a cell
+    replays about 107 of them, one per ~20 writes, and every write
+    except the final flush starts service inside one.  The replay is
+    most of the model's host time, so its per-window state and event
+    handlers are built once per cell.
+
+  The per-core columns (free-run issue/finish times, banks, write
+  ordinals, next-write index) depend only on the trace and four config
+  inputs, not on the scheme; :class:`_ScheduleMemo` builds them once per
+  trace per process, so the schemes of one mix share them.
 
   Validated against the DES on the full Fig 11-14 grid (8 workloads x 6
   schemes, 4000 requests/core): mean absolute error 0.4-1.4% per metric,
@@ -77,14 +88,94 @@ EV_RCHAIN = 1  # starved-read service completion on a bank
 EV_REC = 2  # resume a core's record stream
 
 
-class _Core:
-    """One core's free-run schedule as plain Python lists.
+class _ScheduleMemo:
+    """The per-core free-run columns of the last trace modelled here.
+
+    Every scheme of a mix models the same ``Trace`` object (the engine's
+    per-process ``_trace_for`` cache hands it to each cell), and the
+    columns depend only on the trace and four config inputs: the
+    cycle time (``cycle_ns * base_cpi``), ``t_read_ns``, the bank count
+    and ``num_cores``.  So they are built once per (trace, inputs), not
+    once per scheme.  The memo holds one trace, so a worker's memory
+    does not grow with the mixes it serves.  It matches the trace (and
+    its records array) by identity and keeps a strong reference to it,
+    so a freed trace's recycled ``id`` can never alias the entry.
+
+    Fork-safe (SL009): the memo caches a pure function of its key and
+    accumulates nothing, so a forked worker's inherited copy answers
+    exactly as a rebuild would, and no row depends on which cells a
+    process modelled before.
+    """
+
+    __slots__ = ("trace", "records", "key", "cores")
+
+    def __init__(self):
+        self.trace = self.records = self.key = self.cores = None
+
+    def get(self, trace: Trace, config: SystemConfig) -> list[tuple]:
+        cycle = config.cpu.cycle_ns * config.cpu.base_cpi
+        t_read = config.timings.t_read_ns
+        num_banks = config.organization.num_banks * config.organization.num_ranks
+        num_cores = config.cpu.num_cores
+        key = (cycle, t_read, num_banks, num_cores)
+        if (
+            self.trace is not trace
+            or self.records is not trace.records
+            or self.key != key
+        ):
+            # Drop the old entry first so two schedules never coexist.
+            self.trace = self.records = self.key = self.cores = None
+            self.cores = _core_columns(trace.records, *key)
+            self.trace, self.records, self.key = trace, trace.records, key
+        return self.cores
+
+
+def _core_columns(recs, cycle, t_read, num_banks, num_cores) -> list[tuple]:
+    """Each core's read-only free-run columns as plain Python lists.
 
     ``issue``/``finish`` are the record's free-run times; the live time
     of record ``k`` is ``issue[k] + D`` where ``D`` is the core's
-    accumulated delay.  Lists (not arrays) because the window replay
-    touches single elements on its hot path.
+    accumulated delay.  ``next_w[k]`` is the index of the core's first
+    write at or after record ``k`` (``n`` when none is left).  Lists,
+    not arrays, because the model touches single elements on its hot
+    path.
     """
+    is_write_all = recs["op"] == OP_WRITE
+    write_ord_all = np.where(is_write_all, np.cumsum(is_write_all) - 1, -1)
+    out = []
+    for c in range(num_cores):
+        mask = recs["core"] == c
+        r = recs[mask]
+        gap_ns = r["gap"].astype(np.float64) * cycle
+        is_rd = r["op"] != OP_WRITE
+        cost = gap_ns + np.where(is_rd, t_read, 0.0)
+        finish = np.cumsum(cost)
+        issue = finish - np.where(is_rd, t_read, 0.0)
+        line = r["line"].astype(np.int64)
+        n = len(r)
+        wpos = np.flatnonzero(~is_rd)
+        next_w = np.append(wpos, n)[np.searchsorted(wpos, np.arange(n + 1))]
+        out.append((
+            issue.tolist(),
+            finish.tolist(),
+            is_rd.tolist(),
+            line.tolist(),
+            (line % num_banks).tolist(),
+            write_ord_all[mask].astype(np.int64).tolist(),
+            next_w.tolist(),
+            n,
+            int(r["gap"].sum(dtype=np.int64)),
+        ))
+    return out
+
+
+_SCHEDULES = _ScheduleMemo()
+
+
+class _Core:
+    """One core in one cell: shared read-only columns plus its live
+    state — the next record ``k``, the accumulated delay ``D`` and
+    whether it is frozen inside a drain window."""
 
     __slots__ = (
         "issue",
@@ -93,30 +184,28 @@ class _Core:
         "line",
         "bank",
         "widx",
+        "next_w",
         "n",
+        "instr",
         "D",
         "k",
-        "instr",
         "blocked",
     )
 
-    def __init__(self, r, widx_all, cycle, t_read, num_banks):
-        gap_ns = r["gap"].astype(np.float64) * cycle
-        is_rd = r["op"] != OP_WRITE
-        cost = gap_ns + np.where(is_rd, t_read, 0.0)
-        finish = np.cumsum(cost)
-        issue = finish - np.where(is_rd, t_read, 0.0)
-        line = r["line"].astype(np.int64)
-        self.issue = issue.tolist()
-        self.finish = finish.tolist()
-        self.is_rd = is_rd.tolist()
-        self.line = line.tolist()
-        self.bank = (line % num_banks).tolist()
-        self.widx = widx_all.tolist()
-        self.n = len(r)
+    def __init__(self, cols):
+        (
+            self.issue,
+            self.finish,
+            self.is_rd,
+            self.line,
+            self.bank,
+            self.widx,
+            self.next_w,
+            self.n,
+            self.instr,
+        ) = cols
         self.D = 0.0
         self.k = 0
-        self.instr = int(r["gap"].sum(dtype=np.int64))
         self.blocked = False
 
 
@@ -132,26 +221,12 @@ def model_cell(
     """
     t_read = config.timings.t_read_ns
     fwd_ns = FWD_LATENCY_NS
-    cycle = config.cpu.cycle_ns * config.cpu.base_cpi
     num_banks = config.organization.num_banks * config.organization.num_ranks
     hi = config.memctrl.drain_high_watermark
     lo = config.memctrl.drain_low_watermark
     wq_cap = config.memctrl.write_queue_entries
 
-    recs = trace.records
-    is_write_all = recs["op"] == OP_WRITE
-    write_ord_all = np.where(is_write_all, np.cumsum(is_write_all) - 1, -1)
-
-    cores = [
-        _Core(
-            recs[recs["core"] == c],
-            write_ord_all[recs["core"] == c].astype(np.int64),
-            cycle,
-            t_read,
-            num_banks,
-        )
-        for c in range(config.cpu.num_cores)
-    ]
+    cores = [_Core(cols) for cols in _SCHEDULES.get(trace, config)]
 
     svc = np.asarray(service_ns, dtype=np.float64).tolist()
     n_writes = trace.n_writes
@@ -164,125 +239,138 @@ def model_cell(
     pend_lines = {}  # line -> pending-write count (read forwarding)
 
     # ------------------------------------------------------------------
-    def window_sim(t0):
-        """Exact replay of one drain window starting at time ``t0``."""
-        nonlocal read_extra, n_fwd, occ
-        draining = True
-        bank_busy = [0] * num_banks  # 0 idle, 1 write, 2 read
-        writes_in_flight = 0
-        rq = [deque() for _ in range(num_banks)]  # starved reads
-        n_rq = 0
-        stalled = deque()  # cores frozen on a full write queue
-        n_blocked = 0
-        seq = 0
-        evq = []
-        push_ev = heapq.heappush
+    # Drain-window state.  A window ends only once it is quiescent
+    # (drain off, banks idle, no starved read, no frozen core), so the
+    # next window starts from this state with only its stale resume
+    # events to drop.
+    draining = False
+    bank_busy = [0] * num_banks  # 0 idle, 1 write, 2 read
+    writes_in_flight = 0
+    rq = [deque() for _ in range(num_banks)]  # starved reads
+    n_rq = 0
+    stalled = deque()  # cores frozen on a full write queue
+    n_blocked = 0
+    seq = 0
+    evq = []
+    push_ev = heapq.heappush
+    pop_ev = heapq.heappop
 
-        def start_write(b, now):
-            nonlocal occ, draining, writes_in_flight, seq, n_blocked
-            arr, wi, ln = qb[b].popleft()
-            occ -= 1
-            if occ <= lo:
-                draining = False
-            cnt = pend_lines[ln] - 1
-            if cnt:
-                pend_lines[ln] = cnt
-            else:
-                del pend_lines[ln]
-            done = now + svc[wi]
-            write_lat[wi] = done - arr
-            bank_busy[b] = 1
-            writes_in_flight += 1
-            seq += 1
-            push_ev(evq, (done, seq, EV_DONE, b))
-            if stalled:
-                core = stalled.popleft()
-                core.blocked = False
-                n_blocked -= 1
-                # The core was frozen at its write record; it resubmits
-                # now, so its delay grows by the time spent stalled.
-                core.D = now - core.issue[core.k]
-                seq += 1
-                push_ev(evq, (now, seq, EV_REC, core))
+    def start_write(b, now):
+        nonlocal occ, draining, writes_in_flight, seq
+        arr, wi, ln = qb[b].popleft()
+        occ -= 1
+        if occ <= lo:
+            draining = False
+        cnt = pend_lines[ln] - 1
+        if cnt:
+            pend_lines[ln] = cnt
+        else:
+            del pend_lines[ln]
+        done = now + svc[wi]
+        write_lat[wi] = done - arr
+        bank_busy[b] = 1
+        writes_in_flight += 1
+        seq += 1
+        push_ev(evq, (done, seq, EV_DONE, b))
+        if stalled:
+            release_stalled(now)
 
-        def start_read_chain(b, now):
-            nonlocal n_rq, read_extra, seq
-            arr, core = rq[b].popleft()
-            n_rq -= 1
-            done = now + t_read
-            read_extra += done - t_read - arr
-            bank_busy[b] = 2
-            seq += 1
-            push_ev(evq, (done, seq, EV_RCHAIN, (b, core)))
+    def release_stalled(now):
+        """A write left the queue: the oldest frozen core resubmits."""
+        nonlocal n_blocked, seq
+        core = stalled.popleft()
+        core.blocked = False
+        n_blocked -= 1
+        # The core was frozen at its write record; it resubmits now, so
+        # its delay grows by the time spent stalled.
+        core.D = now - core.issue[core.k]
+        seq += 1
+        push_ev(evq, (now, seq, EV_REC, core))
 
-        def run_core(c, now):
-            """Advance one core inline until it interacts with the window
-            state (starved read, queue-full stall) or falls behind the
-            event queue head."""
-            nonlocal occ, draining, read_extra, n_fwd, n_blocked, n_rq, seq
-            k = c.k
-            n = c.n
-            D = c.D
-            issue = c.issue
-            finish = c.finish
-            is_rd = c.is_rd
-            line = c.line
-            bank = c.bank
-            widx = c.widx
-            while k < n:
-                t = issue[k] + D
-                if evq and t > evq[0][0]:
-                    break
-                if is_rd[k]:
-                    ln = line[k]
-                    if ln in pend_lines:
-                        n_fwd += 1
-                        read_extra += fwd_ns - t_read
-                        D = (t + fwd_ns) - finish[k]
-                        k += 1
-                        continue
-                    b = bank[k]
-                    if bank_busy[b] or (draining and qb[b]):
-                        rq[b].append((t, c))
-                        n_rq += 1
-                        c.blocked = True
-                        n_blocked += 1
-                        c.k = k
-                        c.D = D
-                        return
+    def start_read_chain(b, now):
+        nonlocal n_rq, read_extra, seq
+        arr, core = rq[b].popleft()
+        n_rq -= 1
+        done = now + t_read
+        read_extra += done - t_read - arr
+        bank_busy[b] = 2
+        seq += 1
+        push_ev(evq, (done, seq, EV_RCHAIN, (b, core)))
+
+    def run_core(c, now):
+        """Advance one core inline until it interacts with the window
+        state (starved read, queue-full stall) or falls behind the
+        event queue head."""
+        nonlocal occ, draining, read_extra, n_fwd, n_blocked, n_rq, seq
+        k = c.k
+        n = c.n
+        D = c.D
+        issue = c.issue
+        finish = c.finish
+        is_rd = c.is_rd
+        line = c.line
+        bank = c.bank
+        widx = c.widx
+        while k < n:
+            t = issue[k] + D
+            if evq and t > evq[0][0]:
+                break
+            if is_rd[k]:
+                ln = line[k]
+                if ln in pend_lines:
+                    n_fwd += 1
+                    read_extra += fwd_ns - t_read
+                    D = (t + fwd_ns) - finish[k]
                     k += 1
                     continue
-                # Write record.
-                if occ >= wq_cap:
-                    stalled.append(c)
+                b = bank[k]
+                if bank_busy[b] or (draining and qb[b]):
+                    rq[b].append((t, c))
+                    n_rq += 1
                     c.blocked = True
                     n_blocked += 1
                     c.k = k
                     c.D = D
                     return
-                wi = widx[k]
-                b = bank[k]
-                ln = line[k]
-                qb[b].append((t, wi, ln))
-                occ += 1
-                pend_lines[ln] = pend_lines.get(ln, 0) + 1
-                D = t - finish[k]
                 k += 1
-                if draining:
-                    if not bank_busy[b]:
-                        start_write(b, t)
-                elif occ >= hi:
-                    draining = True
-                    for bb in range(num_banks):
-                        if not bank_busy[bb] and qb[bb]:
-                            start_write(bb, t)
-                            if not draining:
-                                break
-            c.k = k
-            c.D = D
-            if k < n:
-                seq += 1
-                push_ev(evq, (issue[k] + D, seq, EV_REC, c))
+                continue
+            # Write record.
+            if occ >= wq_cap:
+                stalled.append(c)
+                c.blocked = True
+                n_blocked += 1
+                c.k = k
+                c.D = D
+                return
+            wi = widx[k]
+            b = bank[k]
+            ln = line[k]
+            qb[b].append((t, wi, ln))
+            occ += 1
+            pend_lines[ln] = pend_lines.get(ln, 0) + 1
+            D = t - finish[k]
+            k += 1
+            if draining:
+                if not bank_busy[b]:
+                    start_write(b, t)
+            elif occ >= hi:
+                draining = True
+                for bb in range(num_banks):
+                    if not bank_busy[bb] and qb[bb]:
+                        start_write(bb, t)
+                        if not draining:
+                            break
+        c.k = k
+        c.D = D
+        if k < n:
+            seq += 1
+            push_ev(evq, (issue[k] + D, seq, EV_REC, c))
+
+    def window_sim(t0):
+        """Exact replay of one drain window starting at time ``t0``."""
+        nonlocal read_extra, n_fwd, occ, draining, writes_in_flight, n_blocked, seq
+        draining = True
+        evq.clear()
 
         # Seed: retire stale free-run records, kick idle banks, resume
         # cores.  Macro invariant: every unprocessed record with live
@@ -320,7 +408,29 @@ def model_cell(
                 push_ev(evq, (c.issue[c.k] + c.D, seq, EV_REC, c))
 
         while evq:
-            t, _, kind, payload = heapq.heappop(evq)
+            t, _, kind, payload = evq[0]
+            if kind == EV_DONE and draining and qb[payload]:
+                # The hot path, start_write inlined: a bank that finishes
+                # a write while draining starts its next one, and the new
+                # completion replaces the old at the heap root.
+                b = payload
+                arr, wi, ln = qb[b].popleft()
+                occ -= 1
+                if occ <= lo:
+                    draining = False
+                cnt = pend_lines[ln] - 1
+                if cnt:
+                    pend_lines[ln] = cnt
+                else:
+                    del pend_lines[ln]
+                done = t + svc[wi]
+                write_lat[wi] = done - arr
+                seq += 1
+                heapq.heapreplace(evq, (done, seq, EV_DONE, b))
+                if stalled:
+                    release_stalled(t)
+                continue
+            pop_ev(evq)
             if kind == EV_REC:
                 c = payload
                 if not c.blocked and c.k < c.n:
@@ -353,23 +463,23 @@ def model_cell(
 
     # ------------------------------------------------------------------
     # Macro loop: free-run between windows; writes accumulate unserved.
-    while True:
-        best_t = None
-        best_c = None
-        best_k = -1
-        for c in cores:
-            k = c.k
-            is_rd = c.is_rd
-            n = c.n
-            while k < n and is_rd[k]:
-                k += 1
-            if k < n:
-                t = c.issue[k] + c.D
-                if best_t is None or t < best_t:
-                    best_t, best_c, best_k = t, c, k
-        if best_c is None:
-            break
-        c, k = best_c, best_k
+    # The cores' next writes merge through a heap keyed on live time,
+    # lowest core index first on ties.  Only the picked core's key moves
+    # between windows; a window may move any core's, so it rebuilds.
+    def next_writes():
+        heap = []
+        for ci, c in enumerate(cores):
+            k = c.next_w[c.k]
+            if k < c.n:
+                heap.append((c.issue[k] + c.D, ci))
+        heapq.heapify(heap)
+        return heap
+
+    heap = next_writes()
+    while heap:
+        best_t, ci = heapq.heappop(heap)
+        c = cores[ci]
+        k = c.next_w[c.k]
         if pend_lines and k > c.k:
             # Reads skipped over on the way to this write may hit a
             # pending line: they complete by forwarding, not the array.
@@ -392,6 +502,11 @@ def model_cell(
         c.k = k + 1
         if occ >= hi:
             window_sim(best_t)
+            heap = next_writes()
+        else:
+            k = c.next_w[c.k]
+            if k < c.n:
+                heapq.heappush(heap, (c.issue[k] + c.D, ci))
 
     finishes = [(c.finish[c.n - 1] + c.D) if c.n else 0.0 for c in cores]
     runtime = max(finishes) if finishes else 0.0

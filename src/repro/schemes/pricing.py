@@ -82,10 +82,13 @@ def precompute_write_service(
     )
 
     if scheme_name == "preset":
-        n_zero = np.full_like(n_set, PRESET_ZEROS_PER_UNIT)
+        # Every write demands the same row, so it is priced once.
+        n_zero = np.full((1, n_set.shape[1]), PRESET_ZEROS_PER_UNIT, dtype=np.int64)
         units = pack(np.zeros_like(n_zero), n_zero).service_units()
         # Demand RESET now, the deferred SET in the background.
         energy = n_zero.sum(axis=1).astype(np.float64) * (em.e_reset + em.e_set)
+        units = np.repeat(units, trace.n_writes)
+        energy = np.repeat(energy, trace.n_writes)
     elif scheme_name == "tetris":
         units = pack(n_set, n_reset).service_units()
         analysis = config.analysis_overhead_ns
