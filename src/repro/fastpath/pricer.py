@@ -256,7 +256,7 @@ def model_cell(
     pop_ev = heapq.heappop
 
     def start_write(b, now):
-        nonlocal occ, draining, writes_in_flight, seq
+        nonlocal occ, draining, writes_in_flight, seq, n_blocked
         arr, wi, ln = qb[b].popleft()
         occ -= 1
         if occ <= lo:
@@ -273,19 +273,14 @@ def model_cell(
         seq += 1
         push_ev(evq, (done, seq, EV_DONE, b))
         if stalled:
-            release_stalled(now)
-
-    def release_stalled(now):
-        """A write left the queue: the oldest frozen core resubmits."""
-        nonlocal n_blocked, seq
-        core = stalled.popleft()
-        core.blocked = False
-        n_blocked -= 1
-        # The core was frozen at its write record; it resubmits now, so
-        # its delay grows by the time spent stalled.
-        core.D = now - core.issue[core.k]
-        seq += 1
-        push_ev(evq, (now, seq, EV_REC, core))
+            core = stalled.popleft()
+            core.blocked = False
+            n_blocked -= 1
+            # The core was frozen at its write record; it resubmits
+            # now, so its delay grows by the time spent stalled.
+            core.D = now - core.issue[core.k]
+            seq += 1
+            push_ev(evq, (now, seq, EV_REC, core))
 
     def start_read_chain(b, now):
         nonlocal n_rq, read_extra, seq
@@ -368,7 +363,7 @@ def model_cell(
 
     def window_sim(t0):
         """Exact replay of one drain window starting at time ``t0``."""
-        nonlocal read_extra, n_fwd, occ, draining, writes_in_flight, n_blocked, seq
+        nonlocal read_extra, n_fwd, draining, writes_in_flight, n_blocked, seq
         draining = True
         evq.clear()
 
@@ -408,29 +403,7 @@ def model_cell(
                 push_ev(evq, (c.issue[c.k] + c.D, seq, EV_REC, c))
 
         while evq:
-            t, _, kind, payload = evq[0]
-            if kind == EV_DONE and draining and qb[payload]:
-                # The hot path, start_write inlined: a bank that finishes
-                # a write while draining starts its next one, and the new
-                # completion replaces the old at the heap root.
-                b = payload
-                arr, wi, ln = qb[b].popleft()
-                occ -= 1
-                if occ <= lo:
-                    draining = False
-                cnt = pend_lines[ln] - 1
-                if cnt:
-                    pend_lines[ln] = cnt
-                else:
-                    del pend_lines[ln]
-                done = t + svc[wi]
-                write_lat[wi] = done - arr
-                seq += 1
-                heapq.heapreplace(evq, (done, seq, EV_DONE, b))
-                if stalled:
-                    release_stalled(t)
-                continue
-            pop_ev(evq)
+            t, _, kind, payload = pop_ev(evq)
             if kind == EV_REC:
                 c = payload
                 if not c.blocked and c.k < c.n:
