@@ -97,9 +97,9 @@ class _ScheduleMemo:
     cycle time (``cycle_ns * base_cpi``), ``t_read_ns``, the bank count
     and ``num_cores``.  So they are built once per (trace, inputs), not
     once per scheme.  The memo holds one trace, so a worker's memory
-    does not grow with the mixes it serves.  It matches the trace (and
-    its records array) by identity and keeps a strong reference to it,
-    so a freed trace's recycled ``id`` can never alias the entry.
+    does not grow with the mixes it serves.  It matches the trace by
+    identity and keeps a strong reference to it, so a freed trace's
+    recycled ``id`` can never alias the entry.
 
     Fork-safe (SL009): the memo caches a pure function of its key and
     accumulates nothing, so a forked worker's inherited copy answers
@@ -107,10 +107,10 @@ class _ScheduleMemo:
     process modelled before.
     """
 
-    __slots__ = ("trace", "records", "key", "cores")
+    __slots__ = ("trace", "key", "cores")
 
     def __init__(self):
-        self.trace = self.records = self.key = self.cores = None
+        self.trace = self.key = self.cores = None
 
     def get(self, trace: Trace, config: SystemConfig) -> list[tuple]:
         cycle = config.cpu.cycle_ns * config.cpu.base_cpi
@@ -118,15 +118,11 @@ class _ScheduleMemo:
         num_banks = config.organization.num_banks * config.organization.num_ranks
         num_cores = config.cpu.num_cores
         key = (cycle, t_read, num_banks, num_cores)
-        if (
-            self.trace is not trace
-            or self.records is not trace.records
-            or self.key != key
-        ):
+        if self.trace is not trace or self.key != key:
             # Drop the old entry first so two schedules never coexist.
-            self.trace = self.records = self.key = self.cores = None
+            self.trace = self.key = self.cores = None
             self.cores = _core_columns(trace.records, *key)
-            self.trace, self.records, self.key = trace, trace.records, key
+            self.trace, self.key = trace, key
         return self.cores
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import default_config
 from repro.core.analysis import TetrisScheduler
-from repro.core.batch import pack_batch, relaxed_subslots_batch
+from repro.core.batch import _window_max, pack_batch, relaxed_subslots_batch
 from repro.schemes import SCHEME_REGISTRY, get_scheme
 from repro.schemes.pricing import PRESET_ZEROS_PER_UNIT, precompute_write_service
 from repro.trace.record import OP_WRITE, RECORD_DTYPE, Trace
@@ -56,6 +56,18 @@ def test_pack_without_set_demand_matches_scalar(K, L, budget):
         assert (packed.result[i], packed.subresult[i]) == scalar_pack(
             n_set[i], n_reset[i], K, L, budget
         ), f"row {i}"
+
+
+@pytest.mark.parametrize("span", range(1, 10))
+@pytest.mark.parametrize("width", [0, 1, 5, 17])
+def test_window_max_matches_the_direct_maximum(span, width):
+    # The unaligned packer's span peaks; spans that are not a power of
+    # two take the overlapping-window branch.
+    a = np.random.default_rng(span).integers(0, 50, size=(4, width + span - 1))
+    expected = np.array(
+        [[row[i : i + span].max() for i in range(width)] for row in a]
+    ).reshape(4, width)
+    assert np.array_equal(_window_max(a.astype(np.float64), span), expected)
 
 
 @pytest.mark.parametrize("allow_split", [False, True])
