@@ -3,7 +3,9 @@
 Every full-system run below is deterministic, so the controller's
 scheduling decisions leave a fingerprint — runtime, IPC, event count,
 latency means, every :class:`ControllerStats` counter, per-bank busy
-time, the latency histograms and the number of drain-mode entries.
+time, the latency histograms, the number of drain-mode entries, the
+full read/write latency and queue-wait summaries, and every per-core
+:class:`~repro.cpu.core.CoreStats` field.
 The fixture pins that fingerprint for dcw and tetris on three PARSEC
 mixes under every controller variant (pausing, coalescing, SJF drain,
 opportunistic drain, tight watermarks, subarrays, a row buffer and the
@@ -66,6 +68,17 @@ _COUNTERS = (
     "subarray_reads",
 )
 
+_LATENCIES = ("read_latency", "write_latency", "read_wait", "write_wait")
+_CORE_FIELDS = (
+    "instructions",
+    "reads",
+    "writes",
+    "read_block_ns",
+    "read_slot_stall_ns",
+    "write_slot_stall_ns",
+    "finish_ns",
+)
+
 
 def _sparse(counts) -> dict[str, int]:
     return {str(i): int(c) for i, c in enumerate(counts) if c}
@@ -107,6 +120,13 @@ def fingerprint(scheme: str, workload: str, variant: str) -> dict:
         "read_hist": _sparse(stats.read_hist.counts),
         "write_hist": _sparse(stats.write_hist.counts),
         "drain_entries": system.controller.policy.drain_entries,
+        "latency": {
+            name: getattr(stats, name).summary() for name in _LATENCIES
+        },
+        "cores": [
+            {name: getattr(core, name) for name in _CORE_FIELDS}
+            for core in result.cores
+        ],
     }
 
 
