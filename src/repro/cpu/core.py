@@ -28,6 +28,13 @@ from repro.trace.record import OP_WRITE
 __all__ = ["CoreStats", "TraceCore"]
 
 
+def _typed_column(column: np.ndarray, dtype, code: str) -> memoryview:
+    """``column`` as a contiguous ``dtype`` copy behind a ``code``-typed
+    memoryview (numpy's buffer format need not match ``code``, e.g. 'L'
+    vs 'Q', so the cast goes through bytes)."""
+    return memoryview(np.ascontiguousarray(column, dtype)).cast("B").cast(code)
+
+
 @dataclass
 class CoreStats:
     """Per-core accounting for IPC / running-time metrics."""
@@ -65,10 +72,14 @@ class TraceCore:
         ``write_indices[i]`` is the *global* write ordinal of record ``i``
         (-1 for reads) — the key into precomputed service/count tables.
 
-        The ``gap``/``op``/``line`` columns are taken as views once, so
-        each record costs plain 1-D indexing rather than a structured
-        field lookup; they are not copied into Python lists, which would
-        grow the resident set by a Python object per field per record.
+        The four columns a record needs (gap, is-write, line, write
+        ordinal) are copied once into contiguous native-typed arrays and
+        read through ``memoryview`` casts: indexing one returns a Python
+        int (or bool) directly, several times cheaper than indexing a
+        numpy array, which builds a numpy scalar that ``int()`` must then
+        convert.  They are not ``.tolist()``-ed: lists index as fast but
+        hold a Python object per field per record, which grows the
+        resident set of every process that runs cells.
         """
         if len(records) != len(write_indices):
             raise ValueError("records and write_indices must align")
@@ -76,11 +87,18 @@ class TraceCore:
         self.core_id = core_id
         self.records = records
         self.write_indices = write_indices
-        self._gaps = records["gap"]
-        self._ops = records["op"]
-        self._lines = records["line"]
+        self._gaps = _typed_column(records["gap"], np.uint32, "I")
+        self._is_write = _typed_column(records["op"] == OP_WRITE, np.bool_, "?")
+        self._lines = _typed_column(records["line"], np.uint64, "Q")
+        self._write_ords = _typed_column(write_indices, np.int64, "q")
+        self._num_records = len(records)
         self.controller = controller
         self.cpu = cpu
+        # Hot-path constants, read once per record.
+        self._base_cpi = cpu.base_cpi
+        self._cycle_ns = cpu.cycle_ns
+        self._max_outstanding_reads = cpu.max_outstanding_reads
+        self._num_banks = controller.num_banks
         self.on_finish = on_finish
         self.stats = CoreStats()
         self._pc = 0          # index of the next record
@@ -95,7 +113,7 @@ class TraceCore:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Schedule the first gap; no-op for an empty trace slice."""
-        if len(self.records) == 0:
+        if self._num_records == 0:
             self.stats.finish_ns = self.sim.now
             if self.on_finish:
                 self.on_finish(self)
@@ -108,23 +126,26 @@ class TraceCore:
 
     # ------------------------------------------------------------------
     def _execute_gap(self) -> None:
-        gap = int(self._gaps[self._pc])
-        delay = gap * self.cpu.base_cpi * self.cpu.cycle_ns
+        # (gap * CPI) * cycle, in that order: the float rounding of the
+        # delay, and so every schedule, depends on it.
+        delay = self._gaps[self._pc] * self._base_cpi * self._cycle_ns
         self.sim.schedule(delay, self._issue)
 
     def _issue(self) -> None:
         pc = self._pc
-        self.stats.instructions += int(self._gaps[pc])
-        kind = ReqKind.WRITE if self._ops[pc] == OP_WRITE else ReqKind.READ
-        line = int(self._lines[pc])
+        self.stats.instructions += self._gaps[pc]
+        kind = ReqKind.WRITE if self._is_write[pc] else ReqKind.READ
+        line = self._lines[pc]
         self._req_seq += 1
+        # Positional (req_id, kind, core, line, bank, write_idx): half
+        # the cost of keywords, once per record.
         req = MemRequest(
-            req_id=(self.core_id << 32) | self._req_seq,
-            kind=kind,
-            core=self.core_id,
-            line=line,
-            bank=line % self.controller.num_banks,
-            write_idx=int(self.write_indices[pc]),
+            (self.core_id << 32) | self._req_seq,
+            kind,
+            self.core_id,
+            line,
+            line % self._num_banks,
+            self._write_ords[pc],
         )
         if kind is ReqKind.READ:
             req.on_done = self._read_done
@@ -145,7 +166,7 @@ class TraceCore:
         """A read entered the memory system; keep executing if the MLP
         window has room, otherwise block until a completion frees it."""
         self._outstanding += 1
-        if self._outstanding < self.cpu.max_outstanding_reads:
+        if self._outstanding < self._max_outstanding_reads:
             self._advance()
         else:
             self._limit_block_start = self.sim.now
@@ -184,7 +205,7 @@ class TraceCore:
 
     def _advance(self) -> None:
         self._pc += 1
-        if self._pc >= len(self.records):
+        if self._pc >= self._num_records:
             self._all_issued = True
             if self._outstanding == 0:
                 self._finish()

@@ -80,18 +80,16 @@ class ControllerStats:
     def record(self, req: MemRequest) -> None:
         if req.kind is ReqKind.READ:
             self.completed_reads += 1
+            latency, wait, hist = self.read_latency, self.read_wait, self.read_hist
         else:
             self.completed_writes += 1
-        if self.completed <= self.warmup_requests:
+            latency, wait, hist = self.write_latency, self.write_wait, self.write_hist
+        if self.completed_reads + self.completed_writes <= self.warmup_requests:
             return  # warmup: counted for conservation, excluded from stats
-        if req.kind is ReqKind.READ:
-            self.read_latency.add(req.latency_ns)
-            self.read_wait.add(req.queue_wait_ns)
-            self.read_hist.add(req.latency_ns)
-        else:
-            self.write_latency.add(req.latency_ns)
-            self.write_wait.add(req.queue_wait_ns)
-            self.write_hist.add(req.latency_ns)
+        latency_ns = req.latency_ns
+        latency.add(latency_ns)
+        wait.add(req.queue_wait_ns)
+        hist.add(latency_ns)
 
 
 class MemoryController:
@@ -215,7 +213,9 @@ class MemoryController:
             if self.config.memctrl.write_pausing:
                 self._maybe_pause(req)
         else:
-            if self.config.memctrl.write_coalescing:
+            if self.config.memctrl.write_coalescing and (
+                self.write_queue.contains_line(req.line)
+            ):
                 pending = self.write_queue.oldest_where(
                     lambda r: r.line == req.line
                 )
@@ -237,7 +237,8 @@ class MemoryController:
                     )
                     self._obs.metrics.counter("memctrl.write_stalls").inc()
                 return False
-            self._sample_occupancy()
+            if self.occupancy_trace is not None:
+                self._sample_occupancy()
         if self._obs is not None:
             self._trace_depths()
         self._schedule_kick()
@@ -249,10 +250,8 @@ class MemoryController:
         return self.occupancy_trace
 
     def _sample_occupancy(self) -> None:
-        if self.occupancy_trace is not None:
-            self.occupancy_trace.sample(
-                self.sim.now, self.write_queue.occupancy()
-            )
+        """Record the write-queue depth; callers test ``occupancy_trace``."""
+        self.occupancy_trace.sample(self.sim.now, self.write_queue.occupancy())
 
     # ------------------------------------------------------------------
     # Write pausing (refs [23-24]: serve critical reads by suspending an
@@ -329,8 +328,10 @@ class MemoryController:
         queues (a service start runs a core's waiter, which may submit).
         Refreshing with unchanged inputs is a no-op (the watermarks
         satisfy lo < hi), so this equals refreshing at every idle bank.
-        Banks for which select() must answer None are skipped: no
-        pending read, and no pending write the policy may issue.
+        Each bank that may start something asks ``policy.choose`` — the
+        policy's ``select`` minus the refresh just done.  Banks for which
+        the answer must be None are skipped: no pending read, and no
+        pending write the policy may issue.
         """
         self._kick_scheduled = False
         policy = self.policy
@@ -365,35 +366,46 @@ class MemoryController:
                 (policy.draining or writes_anytime) and writes.get(bank)
             ):
                 continue
-            req = policy.select(bank, read_queue, write_queue)
+            req = policy.choose(bank, read_queue, write_queue)
             if req is not None:
                 self._start_service(bank, req)
                 stale = True
 
     def _start_service(self, bank: int, req: MemRequest) -> None:
-        queue = self.read_queue if req.kind is ReqKind.READ else self.write_queue
-        queue.remove(req)
-        if req.kind is ReqKind.WRITE:
-            self._sample_occupancy()
+        """Dequeue ``req``, free its slot to the oldest stalled core of
+        its kind, price it and occupy ``bank`` until it completes.
+
+        The waiter runs before the completion is scheduled (it may
+        submit, and so schedule, first); ``now`` cannot move meanwhile.
+        """
+        now = self.sim.now
+        read = req.kind is ReqKind.READ
+        if read:
+            self.read_queue.remove(req)
+            waiters = self._read_waiters
+        else:
+            self.write_queue.remove(req)
+            waiters = self._write_waiters
+            if self.occupancy_trace is not None:
+                self._sample_occupancy()
         if self._obs is not None:
             self._trace_depths()
-        self._notify_waiters(req.kind)
-        req.start_ns = self.sim.now
-        if req.kind is ReqKind.READ:
-            if self.policy.row_buffer is not None:
-                service_ns = self.policy.row_buffer.access(bank, req.line)
-            else:
-                service_ns = self.service.read_ns(req)
-        else:
+        if waiters:
+            waiters.popleft()()
+        req.start_ns = now
+        if not read:
             service_ns = self.service.write_ns(req)
+        elif self.policy.row_buffer is not None:
+            service_ns = self.policy.row_buffer.access(bank, req.line)
+        else:
+            service_ns = self.service.read_ns(req)
         if service_ns < 0:
             raise ValueError(f"negative service time for {req}")
         self.bank_busy[bank] = True
-        self.stats.bank_busy_ns[bank] = (
-            self.stats.bank_busy_ns.get(bank, 0.0) + service_ns
-        )
+        busy = self.stats.bank_busy_ns
+        busy[bank] = busy.get(bank, 0.0) + service_ns
         event = self.sim.schedule(service_ns, self._complete, bank, req)
-        self._inflight[bank] = (req, event, self.sim.now + service_ns)
+        self._inflight[bank] = (req, event, now + service_ns)
 
     def _try_read_under_write(self, bank: int) -> None:
         """Serve a read through a free subarray while a write occupies
@@ -410,7 +422,8 @@ class MemoryController:
         else:
             return
         self.read_queue.remove(read)
-        self._notify_waiters(ReqKind.READ)
+        if self._read_waiters:
+            self._read_waiters.popleft()()
         read.start_ns = self.sim.now
         service_ns = self.service.read_ns(read)
         self._read_port_busy[bank] = True
@@ -424,11 +437,6 @@ class MemoryController:
         if req.on_done is not None:
             req.on_done(req)
         self._schedule_kick()
-
-    def _notify_waiters(self, kind: ReqKind) -> None:
-        waiters = self._read_waiters if kind is ReqKind.READ else self._write_waiters
-        if waiters:
-            waiters.popleft()()
 
     # ------------------------------------------------------------------
     # Completion.

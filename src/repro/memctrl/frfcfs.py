@@ -120,6 +120,22 @@ class FRFCFSPolicy:
     ) -> MemRequest | None:
         """Pick the next request for an idle bank (or None).
 
+        Refreshes the drain state, then answers as :meth:`choose`.
+        """
+        self.update_drain_state(write_queue)
+        return self.choose(bank, read_queue, write_queue)
+
+    def choose(
+        self,
+        bank: int,
+        read_queue: BoundedQueue,
+        write_queue: BoundedQueue,
+    ) -> MemRequest | None:
+        """Pick as :meth:`select` does, minus the drain refresh.
+
+        For a caller that has just refreshed against the same write
+        queue (the controller's kick).
+
         Candidate lookups are lazy: the losing queue is only consulted
         when the winning queue has no candidate for the bank.  The FIFO
         lookup is O(1) (the queues index requests by bank); the row-hit
@@ -130,7 +146,6 @@ class FRFCFSPolicy:
         opportunistic, whatever the drain order or row buffer; the
         controller relies on this to skip banks without calling here.
         """
-        self.update_drain_state(write_queue)
         if self.draining:
             write = self._next_write(write_queue, bank)
             if write is not None:

@@ -9,44 +9,55 @@ on this engine.  Design points:
   reproduction's experiments must be exactly repeatable).
 * **No processes/coroutines** — callbacks keep the kernel tiny and fast;
   components hold their own state machines (as the paper's FSMs do).
-* **Cancellation** — events carry a live flag; cancelling is O(1) and the
-  heap lazily discards dead entries.
-* **Hot-path layout** — the heap stores ``(time, seq, event)`` tuples, so
-  sift comparisons are C-speed tuple compares on floats/ints (``seq`` is
-  unique, so the event object itself is never compared), and ``Event``
-  uses ``__slots__``; a full-system run allocates one event per FSM
-  transition, which makes both measurable in ``bench_fig11_14_fullsystem``.
+* **Cancellation** — cancelling clears the event's callback in place;
+  it is O(1) and the drain loop discards cleared entries as it pops them.
+* **Hot-path layout** — the heap entry *is* the event: an :class:`Event`
+  is a ``list`` ``[time, seq, fn, args]``, so scheduling allocates one
+  object, sift comparisons are C-speed list compares on the leading
+  float/int (``seq`` is unique, so ``fn`` is never compared), and the
+  drain loop unpacks the popped entry without attribute lookups.  A
+  full-system run fires one event per FSM transition, so the per-event
+  cost is what ``bench/`` reports as ``sim.events_per_s``.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = ["Event", "Simulator"]
 
 
-class Event:
-    """One scheduled callback; ``(time, seq)`` orders it in the heap."""
+class Event(list):
+    """One scheduled callback: the heap entry ``[time, seq, fn, args]``.
 
-    __slots__ = ("time", "seq", "fn", "args", "alive")
+    Built as ``Event([time, seq, fn, args])``; ``(time, seq)`` orders it
+    in the heap.  :meth:`cancel` clears ``fn`` to None, which the drain
+    loop skips.
+    """
 
-    def __init__(
-        self, time: float, seq: int, fn: Callable[..., Any], args: tuple = ()
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.alive = True
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def alive(self) -> bool:
+        return self[2] is not None
 
     def cancel(self) -> None:
         """Prevent the event from firing (lazy removal from the heap)."""
-        self.alive = False
+        self[2] = None
 
     def __repr__(self) -> str:  # debugging aid; never on the hot path
-        state = "live" if self.alive else "cancelled"
-        return f"Event(t={self.time}, seq={self.seq}, {state}, fn={self.fn!r})"
+        time, seq, fn, _args = self
+        state = "live" if fn is not None else "cancelled"
+        return f"Event(t={time}, seq={seq}, {state}, fn={fn!r})"
 
 
 class Simulator:
@@ -62,9 +73,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Heap of (time, seq, Event); time/seq duplicated from the event
-        # so ordering never falls back to comparing Python objects.
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = 0
         self.events_fired = 0
         # Optional repro.obs.Tracer assigned by the system builder when
@@ -79,43 +88,45 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         # at() inlined: every FSM transition schedules, and now + delay
         # with delay >= 0 can never land in the past.
-        time = self.now + delay
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        self._seq = seq = self._seq + 1
+        ev = Event([self.now + delay, seq, fn, args])
+        heappush(self._heap, ev)
         return ev
 
     def at(self, time: float, fn: Callable, *args) -> Event:
         """Schedule ``fn(*args)`` at an absolute time."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        self._seq = seq = self._seq + 1
+        ev = Event([time, seq, fn, args])
+        heappush(self._heap, ev)
         return ev
 
     # ------------------------------------------------------------------
+    def _trace_event(self, fn: Callable, time: float) -> None:
+        self.tracer.instant(
+            getattr(fn, "__qualname__", repr(fn)),
+            ts_ns=time,
+            pid="sim",
+            tid="events",
+            cat="engine",
+        )
+
     def step(self) -> bool:
         """Fire the next live event.  Returns False when none remain."""
         heap = self._heap
         while heap:
-            time, _seq, ev = heapq.heappop(heap)
-            if not ev.alive:
+            time, _seq, fn, args = heappop(heap)
+            if fn is None:
                 continue
             if time < self.now:  # defensive; cannot happen via the API
                 raise RuntimeError("event time went backwards")
             self.now = time
             self.events_fired += 1
             if self.tracer is not None:
-                self.tracer.instant(
-                    getattr(ev.fn, "__qualname__", repr(ev.fn)),
-                    ts_ns=time,
-                    pid="sim",
-                    tid="events",
-                    cat="engine",
-                )
+                self._trace_event(fn, time)
             try:
-                ev.fn(*ev.args)
+                fn(*args)
             except Exception as exc:
                 # Stamp the simulated time so a fault escaping a callback
                 # (e.g. an uncorrectable write) is attributable in traces.
@@ -132,53 +143,43 @@ class Simulator:
 
         The drain loop is inlined rather than delegating to :meth:`step`:
         the tracer check is hoisted to a single branch decision before
-        the loop (``tracer`` must not be attached mid-run), and the
-        monotone-time guard is unnecessary here because :meth:`at`
-        already rejects past times.
+        the loop (``tracer`` must not be attached mid-run), the
+        monotone-time guard is unnecessary because :meth:`at` already
+        rejects past times, and fired events are counted in a local that
+        reaches ``events_fired`` when the loop ends, however it ends (a
+        callback that raises is counted).  An event past ``until`` is
+        pushed back unchanged, so its ``(time, seq)`` keeps its place.
         """
         heap = self._heap
-        heappop = heapq.heappop
         traced = self.tracer is not None
         fired = 0
-        while heap:
-            entry = heap[0]
-            ev = entry[2]
-            if not ev.alive:
-                heappop(heap)
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                return
-            heappop(heap)
-            self.now = time
-            self.events_fired += 1
-            if traced:
-                self.tracer.instant(
-                    getattr(ev.fn, "__qualname__", repr(ev.fn)),
-                    ts_ns=time,
-                    pid="sim",
-                    tid="events",
-                    cat="engine",
-                )
-            try:
-                ev.fn(*ev.args)
-            except Exception as exc:
-                exc.add_note(f"while firing event at sim time {time} ns")
-                raise
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                raise RuntimeError(f"exceeded max_events={max_events}")
+        try:
+            while heap:
+                entry = heappop(heap)
+                time, _seq, fn, args = entry
+                if fn is None:
+                    continue
+                if until is not None and time > until:
+                    heappush(heap, entry)
+                    self.now = until
+                    return
+                self.now = time
+                fired += 1
+                if traced:
+                    self._trace_event(fn, time)
+                try:
+                    fn(*args)
+                except Exception as exc:
+                    exc.add_note(f"while firing event at sim time {time} ns")
+                    raise
+                if max_events is not None and fired >= max_events:
+                    raise RuntimeError(f"exceeded max_events={max_events}")
+        finally:
+            self.events_fired += fired
         if until is not None:
             self.now = max(self.now, until)
-
-    def _peek_time(self) -> float | None:
-        heap = self._heap
-        while heap and not heap[0][2].alive:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     @property
     def pending(self) -> int:
         """Number of live events still queued."""
-        return sum(1 for _, _, ev in self._heap if ev.alive)
+        return sum(1 for ev in self._heap if ev[2] is not None)

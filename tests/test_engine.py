@@ -112,3 +112,58 @@ class TestRunBounds:
             return order
 
         assert run_once() == run_once() == [1, 3, 2]
+
+
+class TestHeapEntries:
+    def test_callback_exception_is_stamped_and_counted(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+
+        def boom():
+            raise KeyError("uncorrectable")
+
+        sim.schedule(2.5, boom)
+        sim.schedule(3.0, lambda: None)
+        with pytest.raises(KeyError) as info:
+            sim.run()
+        assert "while firing event at sim time 2.5 ns" in info.value.__notes__
+        assert sim.events_fired == 2
+        assert sim.now == 2.5
+        assert sim.pending == 1
+
+    def test_ties_past_until_keep_schedule_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, fired.append, "early")
+        for tag in "ab":
+            sim.schedule(80.0, fired.append, tag)
+        sim.run(until=50.0)
+        assert fired == ["early"]
+        assert sim.pending == 2
+        sim.schedule(30.0, fired.append, "c")  # also at t=80, scheduled last
+        sim.run()
+        assert fired == ["early", "a", "b", "c"]
+        assert sim.events_fired == 4
+
+    def test_cancelled_head_neither_fires_nor_counts(self):
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(1.0, fired.append, "head")
+        sim.schedule(2.0, fired.append, "next")
+        head.cancel()
+        assert not head.alive
+        assert (head.time, head.seq) == (1.0, 1)
+        sim.run()
+        assert fired == ["next"]
+        assert sim.events_fired == 1
+        assert sim.now == 2.0
+
+    def test_step_skips_cancelled_head(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "head").cancel()
+        sim.schedule(2.0, fired.append, "next")
+        assert sim.step()
+        assert fired == ["next"]
+        assert sim.events_fired == 1
+        assert not sim.step()
