@@ -126,8 +126,9 @@ class TraceCore:
 
     # ------------------------------------------------------------------
     def _execute_gap(self) -> None:
-        # (gap * CPI) * cycle, in that order: the float rounding of the
-        # delay, and so every schedule, depends on it.
+        # (gap * CPI) * cycle, in that order: when CPI * cycle is not
+        # exact in binary, another order rounds the delay differently
+        # and so changes the schedule.
         delay = self._gaps[self._pc] * self._base_cpi * self._cycle_ns
         self.sim.schedule(delay, self._issue)
 

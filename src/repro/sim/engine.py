@@ -23,7 +23,7 @@ on this engine.  Design points:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable
+from typing import Callable
 
 __all__ = ["Event", "Simulator"]
 

@@ -1,5 +1,7 @@
 """Tests for the trace-driven cores and the CMP system wrapper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ class TestSingleCore:
         assert core_finish == pytest.approx(500 + 500 + 50)
         # Runtime includes the end-of-run flush of the write queue.
         assert res.runtime_ns == pytest.approx(core_finish)
+
+    def test_gap_delay_rounds_as_gap_times_cpi_times_cycle(self):
+        # With CPI 1.1 at 3 GHz, 35 * 1.1 * (1/3) and 35 * (1.1 * (1/3))
+        # differ in the last bit; the core must use the first.
+        cfg = default_config()
+        cfg = cfg.replace(cpu=dataclasses.replace(cfg.cpu, base_cpi=1.1, freq_ghz=3.0))
+        trace = make_trace([(0, OP_READ, 35, 0)])
+        res = run_trace(trace, config=cfg)
+        finish_ns = res.cores[0].finish_ns
+        assert finish_ns == 35 * 1.1 * (1 / 3.0) + 50.0  # simlint: disable=SL004
+        assert finish_ns != 35 * (1.1 * (1 / 3.0)) + 50.0  # simlint: disable=SL004
 
     def test_empty_core_slices_finish(self):
         # Only core 0 has records; cores 1-3 must still "finish".
