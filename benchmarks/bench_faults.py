@@ -13,9 +13,8 @@ you ask for it, (near) zero cost when you don't.  Checked here:
    run (every write verified once, no retries) is reported alongside so
    the price of always-on verification stays on the dashboard.
 
-Interleaved best-of-REPEATS minima, as in ``bench_simlint_overhead``:
-minima discard scheduler noise and interleaving keeps the
-configurations comparable on a loaded machine.
+Measured with the shared interleaved best-of minima harness
+(``_bench_utils.interleaved_minima``), as every overhead gate is.
 """
 
 from __future__ import annotations
@@ -28,19 +27,11 @@ from repro.config import FaultConfig, default_config
 from repro.pcm.state import LineState
 from repro.schemes.base import get_scheme
 
-from _bench_utils import emit
+from _bench_utils import SEED, emit, interleaved_minima, make_payload
 from repro.analysis.report import format_table
 
 N_WRITES = 800
 REPEATS = 3
-SEED = 20160816
-
-
-def _make_workload(n_writes: int) -> np.ndarray:
-    rng = np.random.default_rng(SEED)
-    lines = rng.integers(0, 1 << 63, size=(n_writes + 1, 8), dtype=np.uint64)
-    masks = rng.integers(0, 1 << 16, size=(n_writes + 1, 8), dtype=np.uint64)
-    return lines ^ masks
 
 
 def _config(mode: str):
@@ -72,7 +63,7 @@ def _one_run(mode: str, payload: np.ndarray) -> float:
 
 def test_disabled_fault_path_does_no_fault_work():
     """Flag off ⇒ no FaultModel exists and no retry pass ever runs."""
-    payload = _make_workload(50)
+    payload = make_payload(50)
     scheme = get_scheme("tetris", _config("disabled"))
     assert scheme.faults is None
     state = LineState.from_logical(payload[0])
@@ -83,24 +74,22 @@ def test_disabled_fault_path_does_no_fault_work():
 
 def test_disabled_fault_path_overhead(monkeypatch):
     monkeypatch.delenv("REPRO_VERIFY", raising=False)
-    payload = _make_workload(N_WRITES)
+    payload = make_payload(N_WRITES)
 
-    # Global minima accumulated over interleaved rounds: a shared/loaded
-    # machine adds noise an order of magnitude above the wrapper's real
-    # cost (one attribute test + an O(1) wear counter per ~100us write),
-    # so keep measuring until the minima have converged below the bound
-    # (or the round budget runs out and the bench reports honestly).
-    best = {"pristine_a": float("inf"), "disabled": float("inf"),
-            "zero_rate": float("inf"), "pristine_b": float("inf")}
-    for _ in range(8):
-        for _ in range(REPEATS):
-            best["pristine_a"] = min(best["pristine_a"], _one_run("pristine", payload))
-            best["disabled"] = min(best["disabled"], _one_run("disabled", payload))
-            best["zero_rate"] = min(best["zero_rate"], _one_run("zero_rate", payload))
-            best["pristine_b"] = min(best["pristine_b"], _one_run("pristine", payload))
-        pristine_so_far = min(best["pristine_a"], best["pristine_b"])
-        if best["disabled"] <= pristine_so_far * 1.02:
-            break
+    # A shared/loaded machine adds noise an order of magnitude above the
+    # wrapper's real cost (one attribute test + an O(1) wear counter per
+    # ~100us write), so keep measuring until the minima have converged
+    # below the bound (or the 8-round budget runs out).
+    best = interleaved_minima(
+        {
+            "pristine_a": lambda: _one_run("pristine", payload),
+            "disabled": lambda: _one_run("disabled", payload),
+            "zero_rate": lambda: _one_run("zero_rate", payload),
+            "pristine_b": lambda: _one_run("pristine", payload),
+        },
+        rounds=8, repeats=REPEATS,
+        converged=lambda b: b["disabled"] <= min(b["pristine_a"], b["pristine_b"]) * 1.02,
+    )
 
     pristine = min(best["pristine_a"], best["pristine_b"])
     disabled_pct = (best["disabled"] - pristine) / pristine * 100.0

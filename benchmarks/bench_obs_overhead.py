@@ -16,16 +16,13 @@ when you don't.  Checked here:
    reported alongside, normalized both per write and per emitted event,
    so the price of a recording run stays on the dashboard.
 
-Interleaved best-of-REPEATS minima, as in ``bench_faults``: minima
-discard scheduler noise and interleaving keeps the configurations
-comparable on a loaded machine.
+Measured with the shared interleaved best-of minima harness
+(``_bench_utils.interleaved_minima``), as every overhead gate is.
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from repro.config import TraceConfig, default_config
 from repro.obs import ManualClock, Tracer
@@ -33,25 +30,17 @@ from repro.obs.runtime import tracing
 from repro.pcm.state import LineState
 from repro.schemes.base import get_scheme
 
-from _bench_utils import emit
+from _bench_utils import emit, interleaved_minima, make_payload
 from repro.analysis.report import format_table
 
 N_WRITES = 800
 REPEATS = 3
-SEED = 20160816
 TRACED_CFG = default_config().replace(
     trace=TraceConfig(enabled=True, buffer_events=1 << 16, clock="sim")
 )
 
 
-def _make_workload(n_writes: int) -> np.ndarray:
-    rng = np.random.default_rng(SEED)
-    lines = rng.integers(0, 1 << 63, size=(n_writes + 1, 8), dtype=np.uint64)
-    masks = rng.integers(0, 1 << 16, size=(n_writes + 1, 8), dtype=np.uint64)
-    return lines ^ masks
-
-
-def _one_run(mode: str, payload: np.ndarray) -> tuple[float, int]:
+def _one_run(mode: str, payload) -> tuple[float, int]:
     """(per-write ns, events recorded) for one TetrisWrite loop."""
     n = payload.shape[0] - 1
     if mode == "enabled":
@@ -79,7 +68,7 @@ def _one_run(mode: str, payload: np.ndarray) -> tuple[float, int]:
 
 def test_disabled_trace_path_does_no_obs_work():
     """Flag off ⇒ the scheme holds no tracer and records no events."""
-    payload = _make_workload(50)
+    payload = make_payload(50)
     scheme = get_scheme("tetris", default_config())
     assert scheme._obs is None
     state = LineState.from_logical(payload[0])
@@ -89,31 +78,33 @@ def test_disabled_trace_path_does_no_obs_work():
 
 def test_enabled_trace_path_records():
     """Sanity: the enabled leg of the bench actually traces."""
-    payload = _make_workload(20)
+    payload = make_payload(20)
     _, events = _one_run("enabled", payload)
     assert events > 0
 
 
 def test_disabled_trace_path_overhead(monkeypatch):
     monkeypatch.delenv("REPRO_VERIFY", raising=False)
-    payload = _make_workload(N_WRITES)
+    payload = make_payload(N_WRITES)
+    traced = {"events": 0}
 
-    # Global minima accumulated over interleaved rounds; keep measuring
-    # until the disabled minimum has converged below the bound (or the
-    # round budget runs out and the bench reports honestly).
-    best = {"pristine_a": float("inf"), "disabled": float("inf"),
-            "enabled": float("inf"), "pristine_b": float("inf")}
-    events = 0
-    for _ in range(8):
-        for _ in range(REPEATS):
-            best["pristine_a"] = min(best["pristine_a"], _one_run("pristine", payload)[0])
-            best["disabled"] = min(best["disabled"], _one_run("disabled", payload)[0])
-            enabled_ns, events = _one_run("enabled", payload)
-            best["enabled"] = min(best["enabled"], enabled_ns)
-            best["pristine_b"] = min(best["pristine_b"], _one_run("pristine", payload)[0])
-        pristine_so_far = min(best["pristine_a"], best["pristine_b"])
-        if best["disabled"] <= pristine_so_far * 1.02:
-            break
+    def enabled() -> float:
+        ns, traced["events"] = _one_run("enabled", payload)
+        return ns
+
+    # Keep measuring until the disabled minimum has converged below the
+    # bound (or the 8-round budget runs out).
+    best = interleaved_minima(
+        {
+            "pristine_a": lambda: _one_run("pristine", payload)[0],
+            "disabled": lambda: _one_run("disabled", payload)[0],
+            "enabled": enabled,
+            "pristine_b": lambda: _one_run("pristine", payload)[0],
+        },
+        rounds=8, repeats=REPEATS,
+        converged=lambda b: b["disabled"] <= min(b["pristine_a"], b["pristine_b"]) * 1.02,
+    )
+    events = traced["events"]
 
     pristine = min(best["pristine_a"], best["pristine_b"])
     disabled_pct = (best["disabled"] - pristine) / pristine * 100.0

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from _bench_utils import REQUESTS_PER_CORE, SEED, emit
 
+from repro.analysis.metrics import geometric_mean
 from repro.parallel import ResultCache, SweepEngine, code_salt
 from repro.schemes import SCHEME_REGISTRY
 from repro.trace.workloads import WORKLOAD_NAMES
@@ -115,20 +116,12 @@ def test_scheme_zoo_grid():
         f"{'units':>8} {'energy':>8}",
     ]
 
-    def _geomean(vals):
-        vals = [v for v in vals if v]
-        if not vals:
-            return float("nan")
-        prod = 1.0
-        for v in vals:
-            prod *= v
-        return prod ** (1.0 / len(vals))
-
     for scheme in SCHEMES:
         rs = by_scheme[scheme]
         lane = rs[0]["lane"]
         g = {
-            m: _geomean([r["normalized_vs_dcw"][m] for r in rs])
+            m: geometric_mean([r["normalized_vs_dcw"][m] for r in rs
+                               if r["normalized_vs_dcw"][m] is not None])
             for m in ("runtime_ns", "ipc", "mean_write_units",
                       "mean_write_energy")
         }

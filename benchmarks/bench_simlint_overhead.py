@@ -23,29 +23,19 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.config import default_config
 from repro.pcm.state import LineState
 from repro.schemes.base import get_scheme
 from repro.verify import invariants
 
-from _bench_utils import emit
+from _bench_utils import emit, interleaved_minima, make_payload
 from repro.analysis.report import format_table
 
 N_WRITES = 800
 REPEATS = 3
 
 
-def _make_workload(n_writes: int) -> np.ndarray:
-    rng = np.random.default_rng(20160816)
-    lines = rng.integers(0, 1 << 63, size=(n_writes + 1, 8), dtype=np.uint64)
-    # Realistic partial-change writes: flip a limited bit window.
-    masks = rng.integers(0, 1 << 16, size=(n_writes + 1, 8), dtype=np.uint64)
-    return lines ^ masks
-
-
-def _one_run(verify: bool, payload: np.ndarray) -> float:
+def _one_run(verify: bool, payload) -> float:
     """Per-write time (ns) for one TetrisWrite loop over the payload."""
     scheme = get_scheme("tetris", default_config(verify_invariants=verify))
     state = LineState.from_logical(payload[0])
@@ -54,21 +44,6 @@ def _one_run(verify: bool, payload: np.ndarray) -> float:
         scheme.write(state, row)
     elapsed = time.perf_counter() - t0
     return elapsed / (payload.shape[0] - 1) * 1e9
-
-
-def _measure(payload: np.ndarray) -> tuple[float, float, float]:
-    """Interleaved best-of-REPEATS for (off-A, on, off-B).
-
-    Interleaving the configurations and taking minima makes the numbers
-    comparable even when the whole benchmark session loads the machine;
-    the two off runs bound the residual timer noise.
-    """
-    off_a = on = off_b = float("inf")
-    for _ in range(REPEATS):
-        off_a = min(off_a, _one_run(False, payload))
-        on = min(on, _one_run(True, payload))
-        off_b = min(off_b, _one_run(False, payload))
-    return off_a, on, off_b
 
 
 def test_disabled_verifier_is_zero_cost(monkeypatch):
@@ -96,7 +71,7 @@ def test_disabled_verifier_is_zero_cost(monkeypatch):
     monkeypatch.setattr(tetris_mod, "verify_outcome", counting_outcome)
     monkeypatch.setattr(base_mod, "verify_outcome", counting_outcome)
 
-    payload = _make_workload(50)
+    payload = make_payload(50)
     scheme = get_scheme("tetris", default_config())
     assert scheme.verify is False
     state = LineState.from_logical(payload[0])
@@ -115,15 +90,21 @@ def test_disabled_verifier_is_zero_cost(monkeypatch):
 
 def test_verifier_overhead(monkeypatch):
     monkeypatch.delenv("REPRO_VERIFY", raising=False)
-    payload = _make_workload(N_WRITES)
+    payload = make_payload(N_WRITES)
 
-    # A loaded machine can make even two identical runs diverge; retry
-    # the full interleaved measurement a few times before declaring the
-    # disabled path non-zero-cost.
-    for _ in range(3):
-        off_a, on, off_b = _measure(payload)
-        if max(off_a, off_b) <= min(off_a, off_b) * 1.10:
-            break
+    # A loaded machine can make even two identical runs diverge; keep
+    # measuring (up to 3 rounds) before declaring the disabled path
+    # non-zero-cost.  The two off runs bound the residual timer noise.
+    best = interleaved_minima(
+        {
+            "off_a": lambda: _one_run(False, payload),
+            "on": lambda: _one_run(True, payload),
+            "off_b": lambda: _one_run(False, payload),
+        },
+        rounds=3, repeats=REPEATS,
+        converged=lambda b: max(b["off_a"], b["off_b"]) <= min(b["off_a"], b["off_b"]) * 1.10,
+    )
+    off_a, on, off_b = best["off_a"], best["on"], best["off_b"]
 
     off = min(off_a, off_b)
     noise_pct = abs(off_a - off_b) / off * 100.0

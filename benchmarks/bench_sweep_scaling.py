@@ -22,9 +22,10 @@ import dataclasses
 import json
 import os
 
-from _bench_utils import SCHEMES, emit
+from _bench_utils import emit
 
 from repro.analysis.report import format_table
+from repro.experiments.table import SCHEMES
 from repro.parallel import ResultCache, SweepEngine, SweepJournal
 
 WORKLOADS = ("dedup", "vips", "canneal", "ferret")

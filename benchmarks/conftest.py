@@ -1,10 +1,9 @@
-"""Session fixtures for the experiment benches.
+"""Session fixtures for the benches.
 
-Every bench regenerates one paper table/figure: it runs the experiment,
-prints the paper-style rows (visible with ``pytest -s``), and writes them
-to ``benchmarks/out/<name>.txt`` so the artifacts survive captured
-output.  The heavyweight full-system grid (used by Figs 11-14) is
-computed once per session.
+Every entry of the experiment table (``bench_experiments.py``) reads
+one shared :class:`~repro.experiments.table.Context`: one trace per
+workload at the default operating point, and the full-system grid
+behind Figs 11-14, built once on first use.
 """
 
 from __future__ import annotations
@@ -15,38 +14,17 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The report's entries keep their checks in the library module; rewrite
+# its asserts so a failing shape check shows the values, as tests do.
+pytest.register_assert_rewrite("repro.experiments.table")
 
-from _bench_utils import REQUESTS_PER_CORE, SCHEMES, SEED  # noqa: E402
+from _bench_utils import REQUESTS_PER_CORE, SEED  # noqa: E402
 
-from repro.experiments.runner import run_schemes_on_workloads  # noqa: E402
+from repro.experiments.table import Context  # noqa: E402
 from repro.parallel import default_workers  # noqa: E402
-from repro.trace.synthetic import generate_trace  # noqa: E402
-from repro.trace.workloads import WORKLOAD_NAMES  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def traces():
-    """One trace per workload, shared by every bench."""
-    return {
-        name: generate_trace(name, REQUESTS_PER_CORE, seed=SEED)
-        for name in WORKLOAD_NAMES
-    }
-
-
-@pytest.fixture(scope="session")
-def fullsystem_grid(traces):
-    """The 8-workload x 5-scheme full-system sweep behind Figs 11-14.
-
-    Runs through the parallel sweep engine: cells fan out over a process
-    pool and replay from the on-disk result cache when warm (results are
-    bit-identical either way; set REPRO_NO_CACHE=1 to force cold runs).
-    """
-    return run_schemes_on_workloads(
-        SCHEMES, WORKLOAD_NAMES, requests_per_core=REQUESTS_PER_CORE,
-        seed=SEED, traces=traces, workers=default_workers(),
-    )
-
-
-@pytest.fixture(scope="session")
-def grid_baseline(fullsystem_grid):
-    return {r.workload: r for r in fullsystem_grid if r.scheme == "dcw"}
+def ctx():
+    """The traces, config and lazily built grid every entry shares."""
+    return Context.build(REQUESTS_PER_CORE, SEED, workers=default_workers())

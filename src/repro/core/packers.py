@@ -14,7 +14,7 @@ provides the comparison points for the optimality-gap ablation:
 Classic bin-packing theory bounds FFD at 11/9·OPT + 6/9; for the paper's
 workloads the write-1 demands are so far below the budget that FFD is
 optimal on virtually every write — the bench quantifies exactly how
-often (``benchmarks/bench_ablation_packers.py``).
+often (the ``ablation_packers`` entry of ``benchmarks/bench_experiments.py``).
 """
 
 from __future__ import annotations

@@ -1,0 +1,454 @@
+"""The experiment table: one spec per result table.
+
+An :class:`Experiment` names its output (``benchmarks/out/<id>.txt``),
+the paper figure or table it reproduces, how its rows are computed from
+a shared :class:`Context`, how they render, and the shape checks they
+must pass.  :data:`REPORT_EXPERIMENTS` holds the entries
+``tetris-write report`` renders: the paper's figures, the ablation
+sweeps, power utilization and write pausing.  The remaining entries sit
+with the bench runner in ``benchmarks/bench_experiments.py``, which
+runs, renders and checks both lists (``make bench``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import astuple, dataclass, field
+from functools import cached_property
+from typing import Any, Callable
+
+from repro.analysis.metrics import arithmetic_mean
+from repro.analysis.power_util import power_utilization
+from repro.analysis.report import format_table
+from repro.config import MemCtrlConfig, SystemConfig, default_config
+from repro.cpu.system import SystemResult
+from repro.experiments import ablation
+from repro.experiments.fig03 import measure_bit_profile
+from repro.experiments.fig10 import measure_write_units
+from repro.experiments.fullsystem import (
+    WriteServiceTable, precompute_write_service, run_fullsystem)
+from repro.experiments.runner import ExperimentResult, run_schemes_on_workloads
+from repro.trace.synthetic import Trace, generate_trace
+from repro.trace.workloads import WORKLOAD_NAMES
+
+__all__ = [
+    "Context", "Experiment", "REPORT_EXPERIMENTS", "SCHEMES", "read_gain",
+    "versus", "with_average",
+]
+
+#: The paper's compared schemes; DCW (first) is the normalization baseline.
+SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
+
+#: A full-system run: (workload, scheme, config).
+Cell = tuple[str, str, SystemConfig]
+
+
+@dataclass
+class Context:
+    """What every experiment reads: one trace per workload and the config."""
+
+    traces: dict[str, Trace]
+    config: SystemConfig
+    requests_per_core: int
+    seed: int
+    workers: int = 1
+    _tables: dict[tuple[str, str], WriteServiceTable] = field(
+        default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def build(cls, requests_per_core: int, seed: int,
+              config: SystemConfig | None = None, workers: int = 1) -> Context:
+        """Generate one trace per PARSEC workload at this length and seed."""
+        traces = {
+            name: generate_trace(name, requests_per_core, seed=seed)
+            for name in WORKLOAD_NAMES
+        }
+        cfg = config if config is not None else default_config()
+        return cls(traces, cfg, requests_per_core, seed, workers)
+
+    @cached_property
+    def grid(self) -> dict[tuple[str, str], ExperimentResult]:
+        """The workload x :data:`SCHEMES` grid behind Figs 11-14.
+
+        Built on first use through the sweep engine: cells fan out over
+        ``workers`` processes and replay from the on-disk result cache
+        when warm (rows are bit-identical either way; REPRO_NO_CACHE=1
+        forces cold runs).
+        """
+        rows = run_schemes_on_workloads(
+            SCHEMES, tuple(self.traces), config=self.config,
+            requests_per_core=self.requests_per_core, seed=self.seed,
+            traces=self.traces, workers=self.workers,
+        )
+        return {(r.workload, r.scheme): r for r in rows}
+
+    def service(self, workload: str, scheme: str) -> WriteServiceTable:
+        """One (workload, scheme) write-service table, priced once."""
+        key = (workload, scheme)
+        if key not in self._tables:
+            self._tables[key] = precompute_write_service(
+                self.traces[workload], scheme, self.config
+            )
+        return self._tables[key]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One result table: how to compute, render and check it."""
+
+    id: str                                  # benchmarks/out/<id>.txt
+    source: str                              # paper figure/table, or ours
+    title: str
+    headers: tuple[str, ...]                 # () = notes are the whole text
+    run: Callable[[Context], Any]
+    check: Callable[[Any], None]
+    float_fmt: str = "{:.3f}"
+    notes: str | Callable[[Any], str] = ""   # text under the table
+
+    def render(self, rows: Any) -> str:
+        """The table, then its notes, as written to the text dump."""
+        notes = self.notes(rows) if callable(self.notes) else self.notes
+        if not self.headers:
+            return notes
+        table = format_table(
+            self.headers, rows, float_fmt=self.float_fmt, title=self.title
+        )
+        return f"{table}\n{notes}" if notes else table
+
+
+def versus(ctx: Context, cases: list[tuple[Any, Cell, Cell]],
+           row: Callable[[Any, SystemResult, SystemResult], list]) -> list[list]:
+    """Two full-system runs per table row, each on its own cell.
+
+    Every case is ``(key, first_cell, second_cell)`` with a cell being
+    ``(workload, scheme, config)``; its row is ``row(key, first, second)``.
+    """
+
+    def sim(cell: Cell) -> SystemResult:
+        workload, scheme, cfg = cell
+        return run_fullsystem(ctx.traces[workload], scheme, cfg)
+
+    return [row(key, sim(a), sim(b)) for key, a, b in cases]
+
+
+def with_average(rows: list[list]) -> list[list]:
+    """Append the column-wise arithmetic mean as an AVERAGE row."""
+    cols = range(1, len(rows[0]))
+    return rows + [["AVERAGE"] + [arithmetic_mean([r[i] for r in rows]) for i in cols]]
+
+
+# --------------------------------------------------------------- Fig 3
+# Paper series (read off the figure / pinned by the text): average 9.6
+# bit-writes per 64-bit unit = 6.7 SET + 2.9 RESET; blackscholes ~2
+# total, vips ~19; ferret and vips near fifty-fifty, the rest
+# SET-dominant.
+
+def _fig03(ctx: Context) -> list[list]:
+    paper = {"blackscholes": "~2", "vips": "~19"}
+    profiles = [measure_bit_profile(t) for t in ctx.traces.values()]
+    return [[r.workload, r.mean_set, r.mean_reset, r.total,
+             paper.get(r.workload, "-")] for r in profiles]
+
+
+def _fig03_means(rows: list[list]) -> tuple[float, float]:
+    return (arithmetic_mean([r[1] for r in rows]),
+            arithmetic_mean([r[2] for r in rows]))
+
+
+def _fig03_notes(rows: list[list]) -> str:
+    avg_set, avg_reset = _fig03_means(rows)
+    return (f"average: {avg_set:.2f} SET + {avg_reset:.2f} RESET ="
+            f" {avg_set + avg_reset:.2f}   (paper: 6.7 + 2.9 = 9.6)")
+
+
+def _fig03_check(rows: list[list]) -> None:
+    # Shape assertions: Observation 1 & 2.
+    avg_set, avg_reset = _fig03_means(rows)
+    assert 7.0 <= avg_set + avg_reset <= 12.0
+    assert avg_set > avg_reset
+    total = {r[0]: r[3] for r in rows}
+    assert total["blackscholes"] < 4
+    assert total["vips"] > 14
+
+
+# -------------------------------------------------------------- Fig 10
+# Paper series: DCW baseline 8, Flip-N-Write 4, 2-Stage-Write 3,
+# Three-Stage-Write 2.5 (worst-case constants); Tetris Write measured at
+# 1.06-1.46 depending on workload, highest where many cells change
+# (dedup, vips) and ~1 for the light workloads.
+
+def _fig10(ctx: Context) -> list[list]:
+    units = [measure_write_units(t, ctx.config) for t in ctx.traces.values()]
+    return [[r.workload, r.dcw, r.flip_n_write, r.two_stage, r.three_stage,
+             r.tetris, r.tetris_result, r.tetris_subresult] for r in units]
+
+
+def _fig10_check(rows: list[list]) -> None:
+    # Tetris beats every baseline on every workload; its band matches
+    # the paper's; the heavy workloads sit at the top.
+    for _, dcw, fnw, tsw2, tsw3, tetris, _, _ in rows:
+        assert tetris < tsw3 < tsw2 < fnw < dcw
+    assert 0.95 <= arithmetic_mean([r[5] for r in rows]) <= 1.5
+    tetris = {r[0]: r[5] for r in rows}
+    assert tetris["dedup"] >= tetris["blackscholes"]
+    assert tetris["vips"] >= tetris["canneal"]
+
+
+# ---------------------------------------------------------- Figs 11-14
+# The session grid normalized to DCW; rows are (workload, FNW, 2SW, 3SW,
+# Tetris) plus the AVERAGE row.  Paper claims:
+# * Fig 11 read latency: Tetris 65 % average reduction; FNW 39 %, 2SW
+#   50 %, 3SW 56 %.  Tetris wins on every workload; three of eight
+#   workloads beat 3SW by > 10 %.
+# * Fig 12 write latency: Tetris > 40 % average reduction, beating
+#   FNW / 2SW / 3SW by 15 / 7 / 5 points.  In blackscholes and
+#   swaptions the improvement is "not that obvious": their write queues
+#   rarely fill, so queue waiting (identical across schemes) dominates
+#   the scheme-dependent service time.
+# * Fig 13 IPC improvement (Equation 6): Tetris 2.0x, 3SW 1.8x, 2SW
+#   1.6x, FNW 1.4x on average; Tetris largest on every workload.
+# * Fig 14 running time: Tetris > 46 % average reduction, beating
+#   FNW / 2SW / 3SW by 22 / 12 / 7 points.
+# The entries time their reduction (whichever runs first also builds
+# the grid); the per-cell DES cost is the benchmark's sim.run_ms.
+
+#: The near-idle workloads: write queues rarely fill, and schemes differ
+#: by 1-2 %, where drain-timing noise can reorder neighbours.
+LIGHT = ("blackscholes", "swaptions")
+
+
+def _figure(n: int, exp_id: str, metric: str, title: str,
+            check: Callable[[list[list]], None], notes: Any) -> Experiment:
+    def run(ctx: Context) -> list[list]:
+        return with_average([
+            [wl] + [ctx.grid[wl, s].normalized(ctx.grid[wl, "dcw"])[metric]
+                    for s in SCHEMES[1:]]
+            for wl in ctx.traces
+        ])
+    return Experiment(exp_id, f"Fig {n}", f"Figure {n} — {title}",
+                      ("workload", "FNW", "2SW", "3SW", "Tetris"), run, check, notes=notes)
+
+
+def _reductions(paper: str) -> Callable[[list[list]], str]:
+    def notes(rows: list[list]) -> str:
+        return paper + "\nmeasured average reductions: " + ", ".join(
+            f"{s} {100 * (1 - avg):.0f}%" for s, avg in zip(SCHEMES[1:], rows[-1][1:])
+        )
+    return notes
+
+
+def _tetris_mean(rows: list[list], skip: tuple[str, ...] = ()) -> float:
+    return arithmetic_mean([r[4] for r in rows[:-1] if r[0] not in skip])
+
+
+def _fig11_check(rows: list[list]) -> None:
+    # The paper's full ranking on every workload, Tetris on top.
+    for wl, fnw, tsw2, tsw3, tet in rows[:-1]:
+        assert tet < tsw3 < tsw2 < fnw < 1.0 + 1e-9, wl
+    # Tetris's average reduction is substantial (paper: 65 %).
+    assert _tetris_mean(rows) < 0.6
+
+
+def _fig12_check(rows: list[list]) -> None:
+    for wl, fnw, tsw2, tsw3, tet in rows[:-1]:
+        if wl in LIGHT:
+            # The read-dominant nuance: light workloads barely improve.
+            assert tet > 0.85, wl
+        else:
+            assert tet < tsw3 <= tsw2 < fnw, wl
+            assert tet < 0.7, wl
+    assert _tetris_mean(rows) < 0.75
+
+
+def _fig13_check(rows: list[list]) -> None:
+    # Strict ranking on the memory-bound workloads.
+    for wl, fnw, tsw2, tsw3, tet in rows[:-1]:
+        if wl in LIGHT:
+            assert tet >= 0.99 and fnw >= 0.99, wl
+        else:
+            assert tet >= tsw3 >= tsw2 >= fnw >= 1.0 - 1e-9, wl
+    # The memory-bound workloads dominate the paper's 2x average.
+    assert _tetris_mean(rows, skip=LIGHT) > 1.6
+
+
+def _fig14_check(rows: list[list]) -> None:
+    # Strict ranking on the memory-bound workloads.
+    for wl, fnw, tsw2, tsw3, tet in rows[:-1]:
+        if wl in LIGHT:
+            assert tet <= 1.0 + 1e-9 and fnw <= 1.0 + 1e-9, wl
+        else:
+            assert tet <= tsw3 <= tsw2 <= fnw <= 1.0 + 1e-9, wl
+    assert _tetris_mean(rows, skip=LIGHT) < 0.65
+
+
+# ----------------------------------------------------------- ablations
+# Not in the paper: sensitivity of Tetris Write to the design choices
+# DESIGN.md calls out — the power budget (incl. the §I mobile modes),
+# the two asymmetries, and the flip stage's contribution.  Rows are
+# AblationPoint fields (parameter, value, mean units, result, subresult).
+
+def _ablation(exp_id: str, title: str, workload: str,
+              sweep: Callable[..., list[ablation.AblationPoint]],
+              check: Callable[[list[list]], None], source: str = "ablation (ours)",
+              ) -> Experiment:
+    def run(ctx: Context) -> list[list]:
+        return [list(astuple(p)) for p in sweep(ctx.traces[workload], ctx.config)]
+    return Experiment(exp_id, source, title, ABLATION_HEADERS, run, check)
+
+
+def _budget_check(rows: list[list]) -> None:
+    units = [r[2] for r in rows]
+    assert all(a >= b - 1e-9 for a, b in zip(units, units[1:]))
+    # At the paper's budget (128) dedup sits in the Fig-10 band.
+    at128 = next(r for r in rows if r[1] == 128.0)
+    assert 1.0 <= at128[2] <= 1.6
+
+
+def _K_check(rows: list[list]) -> None:
+    by_K = {int(r[1]): r[2] for r in rows}
+    # Larger K shrinks each appended write-0 sub-slot: units non-increasing.
+    assert by_K[16] <= by_K[1] + 1e-9
+
+
+def _L_check(rows: list[list]) -> None:
+    units = [r[2] for r in rows]
+    assert all(b >= a - 1e-9 for a, b in zip(units, units[1:]))
+
+
+def _mobile_check(rows: list[list]) -> None:
+    by_w = {int(r[1]): r[2] for r in rows}
+    assert by_w[2] > by_w[4] > by_w[8] > by_w[16]
+
+
+def _flip_check(rows: list[list]) -> None:
+    units = {r[1]: r[2] for r in rows}
+    assert units[0.0] >= units[1.0]
+
+
+ABLATION_HEADERS = ("parameter", "value", "mean units", "result", "subresult")
+
+
+# ---------------------------------------------------- §III power use
+# The paper's core observation: existing schemes reserve the worst-case
+# current for every write unit while the actual draw is tiny (9.6
+# changed bits per 64), so "the current is often excessively supplied
+# but is not used effectively" — it pins Flip-N-Write at ≈ 30 % in its
+# bit-count metric.  Tetris's packing is precisely a utilization
+# maximizer, and the gap between it and the baselines *is* the paper's
+# Figure-10 gap seen from the power side.
+
+def _power_utilization(ctx: Context) -> list[list]:
+    rows = []
+    for name, trace in ctx.traces.items():
+        n_set = trace.write_counts[..., 0].astype(int)
+        n_reset = trace.write_counts[..., 1].astype(int)
+        rows.append([name] + [
+            100.0 * float(power_utilization(n_set, n_reset, s, ctx.config).mean())
+            for s in SCHEMES
+        ])
+    return with_average(rows)
+
+
+def _power_check(rows: list[list]) -> None:
+    for wl, dcw, fnw, _, tsw3, tetris in rows[:-1]:
+        # Each scheme's tighter reservation raises utilization (2SW
+        # excluded: programming all cells inflates its numerator).
+        assert dcw < fnw < tsw3 < tetris, wl
+        assert tetris <= 100.0
+    # Baselines sit far below half-used; Tetris recovers a multiple of
+    # the best baseline.
+    avg = rows[-1]
+    assert avg[1] < 15.0          # DCW
+    assert avg[2] < 30.0          # FNW
+    assert avg[5] > 2 * avg[4]    # Tetris >> 3SW
+
+
+# ----------------------------------------------------- write pausing
+# Refs [23-24] attack the same problem as Tetris — reads stuck behind
+# multi-microsecond writes — from the controller side.  The two are
+# complementary but unequal: pausing rescues the DCW baseline's read
+# latency substantially, while Tetris leaves little to reclaim because
+# its writes are already short.
+
+def read_gain(counter: str) -> Callable[[str, SystemResult, SystemResult], list]:
+    """Row ``[key, read lat, read lat varied, gain %, varied counter]``."""
+
+    def row(key: str, base: SystemResult, varied: SystemResult) -> list:
+        return [key, base.mean_read_latency_ns, varied.mean_read_latency_ns,
+                100.0 * (1.0 - varied.mean_read_latency_ns / base.mean_read_latency_ns),
+                getattr(varied.controller, counter)]
+    return row
+
+
+def _write_pausing(ctx: Context) -> list[list]:
+    paused = ctx.config.replace(memctrl=MemCtrlConfig(write_pausing=True))
+    return versus(ctx, [
+        (s, ("dedup", s, ctx.config), ("dedup", s, paused))
+        for s in ("dcw", "three_stage", "tetris")
+    ], read_gain("write_pauses"))
+
+
+def _pausing_check(rows: list[list]) -> None:
+    by = {r[0]: r for r in rows}
+    # Pausing helps the baseline substantially...
+    assert by["dcw"][3] > 10.0
+    assert by["dcw"][4] > 0
+    # ...and helps Tetris less (in relative terms).
+    assert by["tetris"][3] < by["dcw"][3]
+
+
+REPORT_EXPERIMENTS: tuple[Experiment, ...] = (
+    Experiment(
+        "fig03_bit_profile", "Fig 3",
+        "Figure 3 — bit-writes per 64-bit data unit (post-inversion)",
+        ("workload", "SET/unit", "RESET/unit", "total", "paper-total"),
+        _fig03, _fig03_check, notes=_fig03_notes),
+    Experiment(
+        "fig10_write_units", "Fig 10",
+        "Figure 10 — average write units per cache-line write",
+        ("workload", "DCW", "FNW", "2SW", "3SW", "Tetris", "result", "subres"),
+        _fig10, _fig10_check,
+        notes=lambda rows: f"Tetris average: {arithmetic_mean([r[5] for r in rows]):.3f}"
+        "   (paper: 1.06 - 1.46 across workloads)"),
+    _figure(11, "fig11_read_latency", "read_latency",
+            "read latency normalized to DCW (lower is better)", _fig11_check,
+            _reductions("paper average reductions: FNW 39%, 2SW 50%, 3SW 56%, Tetris 65%")),
+    _figure(12, "fig12_write_latency", "write_latency",
+            "write latency normalized to DCW (lower is better)", _fig12_check,
+            "paper: Tetris > 40% reduction; +15/+7/+5 pts over FNW/2SW/3SW\n"
+            "paper nuance: blackscholes/swaptions barely improve (wait-dominated)"),
+    _figure(13, "fig13_ipc", "ipc_improvement",
+            "IPC improvement over DCW (higher is better)", _fig13_check,
+            "paper averages: FNW 1.4x, 2SW 1.6x, 3SW 1.8x, Tetris 2.0x"),
+    _figure(14, "fig14_running_time", "running_time",
+            "running time normalized to DCW (lower is better)", _fig14_check,
+            _reductions("paper: Tetris 46% avg reduction; +22/+12/+7 pts over FNW/2SW/3SW")),
+    _ablation("ablation_budget", "Ablation — bank power budget (dedup)", "dedup",
+              lambda t, cfg: ablation.sweep_power_budget(t, config=cfg), _budget_check),
+    _ablation("ablation_K", "Ablation — time asymmetry K (ferret)", "ferret",
+              lambda t, cfg: ablation.sweep_time_asymmetry(t, config=cfg), _K_check),
+    _ablation("ablation_L", "Ablation — power asymmetry L (vips)", "vips",
+              lambda t, cfg: ablation.sweep_power_asymmetry(t, config=cfg), _L_check),
+    _ablation("ablation_mobile", "Ablation — §I mobile division modes (dedup)", "dedup",
+              lambda t, cfg: ablation.sweep_write_unit_width(t), _mobile_check,
+              source="§I (ours)"),
+    _ablation("ablation_flip", "Ablation — flip stage contribution (vips)", "vips",
+              lambda t, cfg: ablation.sweep_no_flip(t, config=cfg), _flip_check),
+    Experiment(
+        "power_utilization", "§III",
+        "Power-budget utilization per write, % (§III motivation)",
+        ("workload", "DCW", "FNW", "2SW", "3SW", "Tetris"),
+        _power_utilization, _power_check, float_fmt="{:.1f}",
+        notes="Paper anchor: FNW ~30% in the bit-count metric.  Caveats the"
+        "\nnumbers surface: 2SW scores 'high' only because it programs"
+        "\nall 512 cells (inflated useful work, not efficiency), and"
+        "\nTetris's residual waste is the one-write-unit floor — a tiny"
+        "\nblackscholes write still reserves a full Tset."),
+    Experiment(
+        "write_pausing", "refs [23-24] (ours)",
+        "Extension — write pausing x write scheme (dedup)",
+        ("scheme", "read lat (ns)", "with pausing", "gain (%)", "pauses"),
+        _write_pausing, _pausing_check,
+        notes="Pausing reclaims most when writes are long (DCW); Tetris's"
+        "\nshort writes leave it little to do — scheduling at the chip"
+        "\nattacks the root cause the controller-side fix works around."),
+)

@@ -16,9 +16,8 @@ class TestGenerateReport:
             "## Figure 12",
             "## Figure 13",
             "## Figure 14",
-            "## Ablations",
-            "### power budget",
-            "### mobile write-unit width",
+            "## Ablation — bank power budget",
+            "## Ablation — §I mobile division modes",
         ):
             assert heading in text, heading
 
