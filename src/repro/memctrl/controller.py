@@ -59,7 +59,7 @@ class ControllerStats:
     write_wait: LatencyStat = field(default_factory=lambda: LatencyStat("write_wait"))
     # Tail-latency histograms (percentiles via Histogram.percentile).
     read_hist: Histogram = field(
-        default_factory=lambda: Histogram("read", bin_width=50.0, num_bins=256)
+        default_factory=lambda: Histogram("read", bin_width=50.0, num_bins=512)
     )
     write_hist: Histogram = field(
         default_factory=lambda: Histogram("write", bin_width=200.0, num_bins=256)
