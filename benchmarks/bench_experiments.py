@@ -872,8 +872,8 @@ def _variation_check(rows: list[list]) -> None:
         assert rd_t < rd_d, sigma        # ranking invariant
         assert speedup > 1.5, sigma
     # Variation inflates the baseline's mean read latency more than
-    # Tetris's in absolute ns (DCW's p99 already saturates the histogram
-    # even without variation, so the means carry the comparison).
+    # Tetris's in absolute ns (the p99 columns agree, but move by a few
+    # 50 ns histogram bins, so the means carry the comparison).
     assert rows[-1][1] - rows[0][1] >= rows[-1][2] - rows[0][2]
 
 
