@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel (the GEM5-event-engine substrate)."""
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.stats import Histogram, LatencyStat, StatRegistry
+from repro.sim.stats import Histogram, LatencyStat
 
-__all__ = ["Event", "Histogram", "LatencyStat", "Simulator", "StatRegistry"]
+__all__ = ["Event", "Histogram", "LatencyStat", "Simulator"]

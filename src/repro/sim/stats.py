@@ -2,8 +2,8 @@
 
 Accumulators are streaming (O(1) memory for the moments, fixed bins for
 the histogram) because the Fig 11-14 runs see hundreds of thousands of
-requests.  A :class:`StatRegistry` groups the named stats of one run so
-experiment code can dump everything uniformly.
+requests.  Host-side counters and timings live in
+:class:`repro.obs.MetricRegistry`, not here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FaultStats", "LatencyStat", "Histogram", "StatRegistry", "TimeSeries"]
+__all__ = ["FaultStats", "LatencyStat", "Histogram", "TimeSeries"]
 
 
 @dataclass
@@ -260,34 +260,3 @@ class Histogram:
             "p50": _render(self.percentile(50)),
             "p99": _render(self.percentile(99)),
         }
-
-
-class StatRegistry:
-    """Named collection of stats for one simulation run."""
-
-    def __init__(self) -> None:
-        self._stats: dict[str, LatencyStat] = {}
-        self._hists: dict[str, Histogram] = {}
-        self.counters: dict[str, float] = {}
-
-    def latency(self, name: str) -> LatencyStat:
-        if name not in self._stats:
-            self._stats[name] = LatencyStat(name=name)
-        return self._stats[name]
-
-    def histogram(self, name: str, bin_width: float, num_bins: int = 64) -> Histogram:
-        if name not in self._hists:
-            self._hists[name] = Histogram(name, bin_width, num_bins)
-        return self._hists[name]
-
-    def bump(self, name: str, amount: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    def summary(self) -> dict[str, dict | float]:
-        out: dict[str, dict | float] = {k: s.summary() for k, s in self._stats.items()}
-        for k, h in self._hists.items():
-            # A latency stat and a histogram may share a name (same signal
-            # observed two ways); keep both by suffixing the histogram.
-            out[k if k not in out else f"{k}.hist"] = h.summary()
-        out.update(self.counters)
-        return out

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim.stats import Histogram, LatencyStat, StatRegistry
+from repro.sim.stats import Histogram, LatencyStat
 
 
 class TestLatencyStat:
@@ -164,42 +164,3 @@ class TestHistogram:
                 h = Histogram("x", bin_width=bin_width, num_bins=num_bins)
                 h.add(below)
                 assert h.counts[i - 1] == 1
-
-
-class TestStatRegistry:
-    def test_latency_created_once(self):
-        reg = StatRegistry()
-        assert reg.latency("read") is reg.latency("read")
-
-    def test_counters(self):
-        reg = StatRegistry()
-        reg.bump("drains")
-        reg.bump("drains", 2.0)
-        assert reg.counters["drains"] == 3.0
-
-    def test_summary_merges(self):
-        reg = StatRegistry()
-        reg.latency("read").add(10.0)
-        reg.bump("stalls")
-        summary = reg.summary()
-        assert summary["read"]["count"] == 1
-        assert summary["stalls"] == 1.0
-
-    def test_histogram_registry(self):
-        reg = StatRegistry()
-        h = reg.histogram("lat", 10.0)
-        h.add(5.0)
-        assert reg.histogram("lat", 10.0).total == 1
-
-    def test_summary_includes_histograms(self):
-        """Regression: histograms used to be silently dropped from
-        summary(); a shared name keeps both under a .hist suffix."""
-        reg = StatRegistry()
-        reg.histogram("tail", 10.0).add(25.0)
-        summary = reg.summary()
-        assert summary["tail"] == {"total": 1, "p50": 30.0, "p99": 30.0}
-
-        reg.latency("tail").add(25.0)
-        summary = reg.summary()
-        assert summary["tail"]["count"] == 1
-        assert summary["tail.hist"]["total"] == 1
