@@ -390,27 +390,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.experiments.runner import BASELINE_SCHEME
-    from repro.parallel import (
-        ResultCache,
-        RetryPolicy,
-        SweepEngine,
-        default_cache_dir,
-    )
-
-    cache_root = Path(args.cache_dir or default_cache_dir())
-    if args.stats:
-        _print_cache_report(ResultCache(cache_root).report())
-        return 0
-    if args.clear_cache:
-        removed = ResultCache(cache_root).clear()
-        print(f"removed {removed} cache entries from {cache_root}")
-        return 0
+    from repro.parallel import RetryPolicy, SweepEngine, default_cache_dir
 
     journal_path = None
     if args.journal:
         journal_path = Path(args.journal)
     elif args.resume:
-        journal_path = cache_root / "sweep-journal.jsonl"
+        journal_path = (
+            Path(args.cache_dir or default_cache_dir()) / "sweep-journal.jsonl"
+        )
     retry = RetryPolicy()
     if args.max_retries is not None:
         retry = RetryPolicy(max_retries=max(0, args.max_retries))
@@ -653,7 +641,11 @@ async def _serve_async(args: argparse.Namespace) -> int:
             host, port = addr
     service = SweepService(
         state_dir=args.state_dir,
-        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+        cache=(
+            ResultCache(args.cache_dir, fsync=not args.no_fsync)
+            if args.cache_dir
+            else None
+        ),
         workers=args.workers,
         max_queued_cells=args.max_queued,
         quantum=args.quantum,
@@ -944,10 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default="",
                    help="result-cache root (default: REPRO_CACHE_DIR or "
                         "~/.cache/tetris-write/results)")
-    p.add_argument("--stats", action="store_true",
-                   help="print a cache-store report instead of sweeping")
-    p.add_argument("--clear-cache", action="store_true",
-                   help="delete every cache entry instead of sweeping")
     p.add_argument("--json", default="",
                    help="also write rows + stats as JSON here")
     p.add_argument("--journal", default="",
@@ -1009,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7733,
                    help="TCP bind port (when no --socket)")
     p.add_argument("--state-dir", default=".tetris-service",
-                   help="job + cell journals and default cache location")
+                   help="job journal and default cache location")
     p.add_argument("--cache-dir", default="",
                    help="shared result-cache root (default: <state-dir>/cache)")
     p.add_argument("--workers", type=int, default=1,
@@ -1019,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantum", type=float, default=1.0,
                    help="deficit-round-robin quantum (cells per round)")
     p.add_argument("--no-fsync", action="store_true",
-                   help="skip per-record journal fsync (tests only)")
+                   help="skip fsync of job markers and cache puts "
+                        "(tests only)")
     p.add_argument("--drain", action="store_true",
                    help="tell the running server (at --endpoint / "
                         "REPRO_SERVICE) to finish in-flight cells and "
