@@ -17,6 +17,10 @@ invocation without touching the DES.  The key design points:
 * **Atomic writes** — entries are written to a temp file in the cache
   directory and ``os.replace``d into place, so concurrent sweep
   processes sharing one store can never observe a torn entry.
+  ``fsync=True`` also makes each put durable: the temp file is fsync'd
+  before the rename and the entry's directory after it (the sweep
+  service's setting; sweeps keep plain puts, their journal carries
+  resume).
 * **Opt-outs** — ``REPRO_NO_CACHE`` (any non-empty value) disables the
   cache globally; ``REPRO_CACHE_DIR`` moves the store; callers can pass
   an explicit directory or ``cache=False``.
@@ -100,6 +104,15 @@ def code_salt() -> str:
     return h.hexdigest()
 
 
+def _fsync_dir(path: Path) -> None:
+    """Make a rename into (or a new entry of) ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters for one cache handle's lifetime."""
@@ -129,11 +142,13 @@ class ResultCache:
 
     The store is a two-level directory of JSON entries
     (``<key[:2]>/<key>.json``) so no single directory grows unbounded.
+    ``fsync`` makes every :meth:`put` survive power loss once it returns.
     """
 
     root: Path
     salt: str = ""
     stats: CacheStats = field(default_factory=CacheStats)
+    fsync: bool = False
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -224,8 +239,14 @@ class ResultCache:
         return True
 
     def put(self, key: str, row: dict, *, meta: dict | None = None) -> None:
-        """Atomically persist one cell's row (tmp file + rename)."""
+        """Atomically persist one cell's row (tmp file + rename).
+
+        With :attr:`fsync` the entry is durable on return: the temp file
+        is fsync'd before the rename and the directory after it (and the
+        store root too when this put created the directory).
+        """
         path = self._path(key)
+        new_dir = self.fsync and not path.parent.is_dir()
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "version": CACHE_FORMAT_VERSION,
@@ -240,7 +261,14 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh, sort_keys=True)
+                if self.fsync:
+                    fh.flush()
+                    os.fsync(fh.fileno())
             os.replace(tmp, path)
+            if self.fsync:
+                _fsync_dir(path.parent)
+                if new_dir:
+                    _fsync_dir(self.root)
         except OSError:
             # A failed store (disk full, permissions) must never kill the
             # sweep — the cell result is still returned to the caller.
@@ -348,7 +376,7 @@ class ResultCache:
         }
 
     def report(self) -> dict:
-        """Store-wide summary for ``tetris-write sweep --stats``."""
+        """Store-wide summary for ``tetris-write cache stats``."""
         entries = self.entries()
         total_bytes = 0
         by_scheme: dict[str, int] = {}

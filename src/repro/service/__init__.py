@@ -6,8 +6,9 @@ concurrent clients over an NDJSON socket protocol, admits and
 fair-queues them per tenant (deficit round robin), dedups identical
 cells across tenants into a single execution (single-flight, with the
 shared :class:`~repro.parallel.resultcache.ResultCache` as artifact
-store), journals everything for crash-restart resume, and streams
-per-job progress.  Results are byte-identical to a serial
+store), persists completed cells in that cache (fsync'd) and job
+markers in a job journal for crash-restart resume, and streams per-job
+progress.  Results are byte-identical to a serial
 :meth:`~repro.parallel.engine.SweepEngine.run` of the same grid.
 
 Layering: ``repro.service`` sits above ``repro.parallel`` /

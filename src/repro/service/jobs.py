@@ -19,8 +19,8 @@ ResultCache`):
 Durability: :class:`JobStore` appends ``submitted`` / ``done`` /
 ``cancelled`` markers to an fsync'd :class:`~repro.parallel.journal.
 SweepJournal`.  A restarted server replays the markers, re-plans every
-unfinished job, and re-queues only the cells whose completions are not
-already in the shared cell journal — zero re-execution of finished
+unfinished job, and re-queues only the cells whose rows are not
+already in the shared result cache — zero re-execution of finished
 work (``docs/SERVICE.md``).
 """
 
@@ -188,7 +188,7 @@ class Job:
     state: str = "queued"
     rows: dict[int, dict] = field(default_factory=dict)
     errors: dict[int, dict] = field(default_factory=dict)
-    cached_cells: int = 0      # served from cache/journal, no execution
+    cached_cells: int = 0      # served from completed rows/cache, no execution
     deduped_cells: int = 0     # attached to another tenant's in-flight cell
     executed_cells: int = 0    # cells this job triggered execution of
     #: asyncio.Queue sinks of active ``watch`` streams (server-managed)
@@ -239,8 +239,8 @@ class JobStore:
 
     Keys are ``{job_id}:{event}`` with ``event`` in ``submitted`` /
     ``done`` / ``cancelled``; the :class:`SweepJournal` dedup makes
-    every marker idempotent.  Cell *results* live in the shared cell
-    journal + result cache, never here — this store only has to answer
+    every marker idempotent.  Cell *results* live in the shared result
+    cache, never here — this store only has to answer
     "which jobs were accepted and not yet finished?" after a restart.
     """
 

@@ -16,17 +16,17 @@ The scheduler owns the path from "job accepted" to "row delivered":
   already queued or executing gets *waiters attached*, never a second
   execution; with the shared :class:`ResultCache` as artifact store,
   any tenant's result is every tenant's cache hit.
-* **Blocking work stays off the event loop** — cell execution, cache
-  writes, and fsync'd journal appends all run in executor threads /
-  the supervised worker pool; the asyncio side only routes completions
-  (enforced by simlint SL015).
+* **Blocking work stays off the event loop** — cell execution and
+  (fsync'd) cache puts run in executor threads / the supervised worker
+  pool; the asyncio side only routes completions (enforced by simlint
+  SL015).
 
 Execution is batched: each round selects up to ``workers`` cells
 (across tenants, in DRR order) and runs them through
 :func:`~repro.parallel.engine.run_cells`, the runner
 :meth:`SweepEngine.run` uses, and stamps stored rows with the engine's
 :func:`~repro.parallel.engine.cell_meta` — so rows, deadlines, retries,
-failure rows and journal records match a serial run of the same grid.
+failure rows and cache entries match a serial run of the same grid.
 Every batch runs on one supervised worker pool that lives as long as
 the scheduler (its workers start with the first supervised batch and
 stop at :meth:`Scheduler.close`), and each cell is persisted and routed
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,7 +50,6 @@ from repro.parallel.engine import (
     cell_supervisor,
     run_cells,
 )
-from repro.parallel.journal import SweepJournal
 from repro.parallel.resultcache import ResultCache, code_salt
 from repro.parallel.supervisor import RetryPolicy
 from repro.service.jobs import Job
@@ -85,16 +83,16 @@ class TenantState:
 class Scheduler:
     """Fair, deduplicating dispatcher onto the supervised worker layer.
 
-    All mutable scheduling state (tenant queues, the in-flight map, job
-    bookkeeping) is touched only from the event loop; executor threads
-    see immutable planned cells and the thread-safe journal/cache appenders.
+    All mutable scheduling state (tenant queues, the in-flight map, the
+    completed rows, job bookkeeping) is changed only from the event
+    loop; executor threads see immutable planned cells and the cache,
+    and only read the completed rows.
     """
 
     def __init__(
         self,
         *,
         cache: ResultCache | None,
-        cell_journal: SweepJournal | None,
         workers: int = 1,
         max_queued_cells: int = 512,
         quantum: float = 1.0,
@@ -105,10 +103,9 @@ class Scheduler:
         if quantum <= 0:
             raise ValueError("quantum must be > 0")
         self.cache = cache
-        self.cell_journal = cell_journal
-        self.journal_rows: dict[str, dict] = (
-            cell_journal.load() if cell_journal is not None else {}
-        )
+        #: rows completed in this server's life, by journal key: closes
+        #: the window between :meth:`resolve_planned` and :meth:`attach`
+        self.completed: dict[str, dict] = {}
         self.workers = int(workers)
         self.max_queued_cells = int(max_queued_cells)
         self.quantum = float(quantum)
@@ -129,7 +126,6 @@ class Scheduler:
         self._stopping = False
         self._idle = asyncio.Event()
         self._idle.set()
-        self._journal_lock = threading.Lock()
         self._ema_cell_s: float | None = None
         self._salt = cache.salt if cache is not None else code_salt()
         #: server hook fired once per job reaching a terminal state
@@ -139,21 +135,16 @@ class Scheduler:
     # Admission + enqueue (called by the server's submit handler).
     # ------------------------------------------------------------------
     def resolve_planned(self, planned) -> list[tuple[object, dict | None]]:
-        """Blocking phase of a submit: cache / journal lookups.
+        """Blocking phase of a submit: completed-row and cache lookups.
 
-        Runs in an executor thread (file reads + fsync'd journal
-        appends must not block the event loop).  Returns
-        ``(planned_cell, row_or_None)`` pairs; a cache hit is also
-        copied into the cell journal so a later restart resumes from
-        the journal alone.
+        Runs in an executor thread (cache reads must not block the
+        event loop).  Returns ``(planned_cell, row_or_None)`` pairs.
         """
         out = []
         for pc in planned:
-            row = self.journal_rows.get(pc.journal_key)
+            row = self.completed.get(pc.journal_key)
             if row is None and self.cache is not None and pc.cache_key:
                 row = self.cache.get(pc.cache_key)
-                if row is not None:
-                    self._journal_row(pc, row)
             out.append((pc, row))
         return out
 
@@ -176,8 +167,8 @@ class Scheduler:
         for pc, row in resolved:
             if row is None:
                 # A completion may have landed between the resolve
-                # phase and now; the in-memory journal view is current.
-                row = self.journal_rows.get(pc.journal_key)
+                # phase and now; the completed rows are current.
+                row = self.completed.get(pc.journal_key)
             if row is not None:
                 immediate.append((pc, row))
             else:
@@ -227,7 +218,7 @@ class Scheduler:
         """Withdraw a job's queued cells; shared cells lose one waiter.
 
         Cells already executing finish (their row still lands in the
-        journal/cache for everyone else); returns how many queued cells
+        cache for everyone else); returns how many queued cells
         were removed outright.
         """
         removed = 0
@@ -319,7 +310,7 @@ class Scheduler:
         """Execute a batch, persisting each success as it lands.
 
         ``route``, when given, is called with ``(work, kind, outcome,
-        cell_s)`` for every completion once it is durable; ``cell_s`` is
+        cell_s)`` for every completion once it is in the cache; ``cell_s`` is
         the seconds from batch start to that cell's result.  Returns the
         ``(work, kind, outcome)`` completions in completion order.
         """
@@ -337,20 +328,10 @@ class Scheduler:
                 if self.cache is not None and pc.cache_key is not None:
                     meta = cell_meta(pc.cell, pc.lane, self._salt)
                     self.cache.put(pc.cache_key, outcome, meta=meta)
-                self._journal_row(pc, outcome)
             out.append((work, kind, outcome))
             if route is not None:
                 route(work, kind, outcome, time.monotonic() - start)
         return out
-
-    def _journal_row(self, pc: PlannedCell, row: dict) -> None:
-        """Thread-safe append of a completed cell to the shared journal."""
-        self.journal_rows[pc.journal_key] = row
-        if self.cell_journal is None:
-            return
-        meta = cell_meta(pc.cell, pc.lane, self._salt)
-        with self._journal_lock:
-            self.cell_journal.append(pc.journal_key, row, meta=meta)
 
     # ------------------------------------------------------------------
     # Completion routing (event loop).
@@ -367,6 +348,7 @@ class Scheduler:
         if kind == "error":
             self._m.counter("cells_failed").inc(1)
         else:
+            self.completed[pc.journal_key] = outcome
             self._m.counter("cells_executed").inc(1)
         for job, index in work.waiters:
             if job.finished:

@@ -4,11 +4,12 @@
 (``tetris-write serve``).  One instance owns:
 
 * a shared :class:`~repro.parallel.resultcache.ResultCache` (the
-  artifact store every tenant hits),
-* the fsync'd **cell journal** (completed cells, engine-compatible
-  content addresses) and **job journal** (submitted/done/cancelled
-  markers) under ``state_dir`` — together they make a ``SIGKILL``'d
-  server resumable with zero re-execution,
+  artifact store every tenant hits, and the only durable store of
+  completed cells: its puts are fsync'd, keyed by the engine's content
+  addresses),
+* the fsync'd **job journal** (submitted/done/cancelled markers) under
+  ``state_dir`` — with the cache it makes a ``SIGKILL``'d server
+  resumable with zero re-execution,
 * the :class:`~repro.service.scheduler.Scheduler` (admission, DRR
   fairness, single-flight dedup, supervised execution).
 
@@ -16,12 +17,13 @@ Connection discipline (``docs/SERVICE.md``): every client-caused
 failure is answered with a structured error frame; only a frame that
 breaks line synchronization (over-long line) closes the connection.  A
 mid-stream disconnect cancels nothing — accepted jobs keep running and
-their results stay journaled for any later ``status`` call.  The server
+their results stay cached for any later ``status`` call.  The server
 process must never die from client input.
 
-Blocking work (planning, cache/journal I/O, the DES itself) runs in
-executor threads or the supervised worker pool; handler coroutines only
-route frames (simlint SL015 enforces this for the whole package).
+Blocking work (planning, cache and job-journal I/O, the DES itself)
+runs in executor threads or the supervised worker pool; handler
+coroutines only route frames (simlint SL015 enforces this for the whole
+package).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import asyncio
 from functools import partial
 from pathlib import Path
 
-from repro.parallel.journal import SweepJournal
 from repro.parallel.resultcache import ResultCache
 from repro.parallel.supervisor import RetryPolicy
 from repro.service.jobs import GridSpec, Job, JobStore, job_id_for
@@ -55,7 +56,12 @@ __all__ = ["SweepService"]
 
 
 class SweepService:
-    """One server instance: jobs, scheduler, journals, connections."""
+    """One server instance: jobs, scheduler, cache, job journal, connections.
+
+    ``fsync`` makes the job journal's markers and the puts of the cache
+    built under ``state_dir`` durable; a ``cache`` passed in keeps its
+    own :attr:`~repro.parallel.resultcache.ResultCache.fsync`.
+    """
 
     def __init__(
         self,
@@ -71,15 +77,13 @@ class SweepService:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.cache = (
-            cache if cache is not None else ResultCache(self.state_dir / "cache")
-        )
-        self.cell_journal = SweepJournal(
-            self.state_dir / "cells.jsonl", fsync=fsync
+            cache
+            if cache is not None
+            else ResultCache(self.state_dir / "cache", fsync=fsync)
         )
         self.store = JobStore(self.state_dir / "jobs.jsonl", fsync=fsync)
         self.scheduler = Scheduler(
             cache=self.cache,
-            cell_journal=self.cell_journal,
             workers=workers,
             max_queued_cells=max_queued_cells,
             quantum=quantum,
@@ -99,17 +103,17 @@ class SweepService:
     # Lifecycle.
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Start the dispatcher and resume journaled in-flight jobs."""
+        """Start the dispatcher and resume accepted, unfinished jobs."""
         self._dispatch_task = asyncio.create_task(self.scheduler.run())
         await self._recover()
 
     async def _recover(self) -> None:
-        """Re-plan every accepted-but-unfinished job from the journals.
+        """Re-plan every accepted-but-unfinished job from the job journal.
 
-        Cells whose completions are in the cell journal resolve without
-        execution (zero re-execution resume); only genuinely unfinished
-        cells re-enter the queue.  Recovery bypasses admission — these
-        jobs were already accepted once.
+        Cells whose rows are in the cache resolve without execution
+        (zero re-execution resume); only genuinely unfinished cells
+        re-enter the queue.  Recovery bypasses admission — these jobs
+        were already accepted once.
         """
         loop = asyncio.get_running_loop()
         pending = await loop.run_in_executor(None, self.store.pending_jobs)
@@ -151,7 +155,7 @@ class SweepService:
 
         The marker is a restart optimization (skips re-planning), never
         a correctness requirement — cell completions are already in the
-        cell journal — so fire-and-forget is sound here.
+        cache — so fire-and-forget is sound here.
         """
         if job.state == "done":
             asyncio.get_running_loop().run_in_executor(

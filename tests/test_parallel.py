@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -204,6 +205,50 @@ def test_cache_clear_and_report(tmp_path):
     assert report["current_code_version"] == 3
     assert cache.clear() == 3
     assert cache.entries() == []
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_cache_put_fsyncs_entry_and_directory_only_when_asked(
+    tmp_path, monkeypatch, fsync
+):
+    root = tmp_path / "store"
+    cache = ResultCache(root, salt="s1", fsync=fsync)
+    key = cache.cell_key(config_json="{}", trace_key="t", scheme="dcw")
+    other = next(
+        k
+        for k in (
+            cache.cell_key(config_json="{}", trace_key=f"t{i}", scheme="dcw")
+            for i in range(1000)
+        )
+        if k[:2] != key[:2]
+    )
+    cache._path(key).parent.mkdir(parents=True)
+    synced: list[int] = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd: int) -> None:
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    cache.put(key, {"x": 1})
+    entry = cache._path(key)
+    if fsync:
+        # The entry file before its rename, then the directory holding it.
+        assert synced == [entry.stat().st_ino, entry.parent.stat().st_ino]
+    else:
+        assert synced == []
+    # A put that creates its directory also makes that directory durable.
+    synced.clear()
+    cache.put(other, {"x": 2})
+    entry = cache._path(other)
+    if fsync:
+        assert synced == [
+            entry.stat().st_ino, entry.parent.stat().st_ino, root.stat().st_ino
+        ]
+    else:
+        assert synced == []
+    assert cache.get(key) == {"x": 1} and cache.get(other) == {"x": 2}
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ import multiprocessing
 import os
 import signal
 import time
+from functools import partial
 
 import pytest
 
@@ -190,8 +191,12 @@ def test_two_tenants_overlap_exactly_once_and_byte_identical(tmp_path):
     jobs = [svc.jobs[sa["job"]], svc.jobs[sb["job"]]]
     assert sum(j.executed_cells for j in jobs) == 5
     assert sum(j.cached_cells + j.deduped_cells for j in jobs) == 1
-    # Every unique cell journaled exactly once.
-    assert len(svc.cell_journal.load()) == 5
+    # Every unique cell stored exactly once, and the cache is the only
+    # durable row store: the state dir holds nothing but the job journal.
+    assert svc.cache.stats.stores == 5
+    assert sorted(p.name for p in svc.state_dir.iterdir()) == [
+        "jobs.jsonl"
+    ]
     # Rows byte-identical to a serial engine run of each grid.
     assert row_bytes(sa["rows"]) == serial_row_bytes(GRID_A)
     assert row_bytes(sb["rows"]) == serial_row_bytes(GRID_B)
@@ -350,15 +355,14 @@ def test_job_after_a_hung_cell_completes_on_the_replacement_worker(
     assert row_bytes(after["rows"]) == serial_row_bytes(GRID_C)
 
 
-def test_engine_and_service_journal_the_same_record(tmp_path):
+def test_engine_and_service_cache_the_same_entry(tmp_path):
     spec = GridSpec.from_dict(GRID_SMALL)
-    engine_journal = tmp_path / "engine.jsonl"
+    engine_cache = ResultCache(tmp_path / "engine-cache")
     SweepEngine(
         requests_per_core=spec.requests_per_core,
         root_seed=spec.seed,
         workers=1,
-        cache=False,
-        journal=engine_journal,
+        cache=engine_cache,
     ).run(spec.schemes, spec.workloads).raise_errors()
 
     async def run():
@@ -368,14 +372,50 @@ def test_engine_and_service_journal_the_same_record(tmp_path):
             await asyncio.wait_for(svc.scheduler.wait_idle(), 120)
         finally:
             await svc.shutdown()
-        return svc.cell_journal.path
+        return svc.cache
 
-    service_journal = asyncio.run(run())
-    [engine_line] = engine_journal.read_text().splitlines()
-    [service_line] = service_journal.read_text().splitlines()
-    engine_record = json.loads(engine_line)
+    service_cache = asyncio.run(run())
+    [engine_entry] = engine_cache.entries()
+    [service_entry] = service_cache.entries()
+    assert engine_entry.name == service_entry.name
+    engine_record = json.loads(engine_entry.read_text())
     assert engine_record["meta"]["lane"] == "des"
-    assert engine_record == json.loads(service_line)
+    assert engine_record == json.loads(service_entry.read_text())
+
+
+def test_cell_landing_between_resolve_and_attach_is_never_requeued(tmp_path):
+    spec = GridSpec.from_dict(GRID_SMALL)
+
+    async def run():
+        svc = await make_service(tmp_path)
+        try:
+            loop = asyncio.get_running_loop()
+            planned = await loop.run_in_executor(
+                None, partial(spec.plan, cache=svc.cache)
+            )
+            # bob's submit resolves before the cell has run ...
+            stale = await loop.run_in_executor(
+                None, svc.scheduler.resolve_planned, planned
+            )
+            # ... then alice's copy of it executes and lands ...
+            first = await run_job(svc, GRID_SMALL, tenant="alice")
+            # ... and only then does bob's submit attach.
+            late = Job(job_id="late", tenant="bob", spec=spec, planned=planned)
+            svc.scheduler.attach(late, stale)
+            queued = svc.scheduler.queued_cells("bob")
+            inflight = dict(svc.scheduler.inflight)
+            await asyncio.wait_for(svc.scheduler.wait_idle(), 120)
+            return svc, stale, first, late, queued, inflight
+        finally:
+            await svc.shutdown()
+
+    svc, stale, first, late, queued, inflight = asyncio.run(run())
+    assert [row for _, row in stale] == [None]
+    assert late.state == "done"
+    assert late.cached_cells == 1 and late.executed_cells == 0
+    assert queued == 0 and not inflight
+    assert svc.scheduler.counter_values()["cells_executed"] == 1
+    assert row_bytes(late.ordered_rows()) == row_bytes(first["rows"])
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +435,7 @@ def _queued(key: str, tenant: str) -> CellWork:
 def test_drr_bounds_unfairness_by_the_quantum():
     from repro.service.scheduler import TenantState
 
-    sched = Scheduler(cache=None, cell_journal=None, workers=1, quantum=1.0)
+    sched = Scheduler(cache=None, workers=1, quantum=1.0)
     sched.tenants["big"] = TenantState("big")
     sched.tenants["small"] = TenantState("small")
     for i in range(8):
@@ -416,7 +456,7 @@ def test_drr_bounds_unfairness_by_the_quantum():
 def test_drr_quantum_weights_throughput():
     from repro.service.scheduler import TenantState
 
-    sched = Scheduler(cache=None, cell_journal=None, workers=1, quantum=0.5)
+    sched = Scheduler(cache=None, workers=1, quantum=0.5)
     sched.tenants["a"] = TenantState("a")
     sched.tenants["b"] = TenantState("b")
     for i in range(6):
@@ -471,7 +511,7 @@ def test_eta_divides_per_cell_seconds_by_workers_once(monkeypatch):
             )
 
     monkeypatch.setattr(scheduler_mod, "run_cells", two_cells_after_200ms)
-    sched = Scheduler(cache=None, cell_journal=None, workers=2)
+    sched = Scheduler(cache=None, workers=2)
     sched.tenants["t"] = TenantState("t")
     sched.tenants["t"].queue.extend([_queued("a", "t"), _queued("b", "t")])
     sched._active.append("t")

@@ -255,9 +255,7 @@ def test_persistently_raising_cell_is_tagged_by_both_callers(caller):
     if caller == "engine":
         errors = eng.run(schemes, ("dedup",)).errors
     else:
-        sched = Scheduler(
-            cache=None, cell_journal=None, workers=2, retry=policy
-        )
+        sched = Scheduler(cache=None, workers=2, retry=policy)
         batch = [
             CellWork(planned=pc, tenant="t")
             for pc in eng.plan(schemes, ("dedup",))
