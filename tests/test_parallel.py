@@ -214,15 +214,7 @@ def test_cache_put_fsyncs_entry_and_directory_only_when_asked(
     root = tmp_path / "store"
     cache = ResultCache(root, salt="s1", fsync=fsync)
     key = cache.cell_key(config_json="{}", trace_key="t", scheme="dcw")
-    other = next(
-        k
-        for k in (
-            cache.cell_key(config_json="{}", trace_key=f"t{i}", scheme="dcw")
-            for i in range(1000)
-        )
-        if k[:2] != key[:2]
-    )
-    cache._path(key).parent.mkdir(parents=True)
+    entry = cache._path(key)
     synced: list[int] = []
     real_fsync = os.fsync
 
@@ -231,24 +223,23 @@ def test_cache_put_fsyncs_entry_and_directory_only_when_asked(
         real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", counting_fsync)
+    # The first put creates the entry's directory: the store root that
+    # names it is synced too.
     cache.put(key, {"x": 1})
-    entry = cache._path(key)
-    if fsync:
-        # The entry file before its rename, then the directory holding it.
-        assert synced == [entry.stat().st_ino, entry.parent.stat().st_ino]
-    else:
-        assert synced == []
-    # A put that creates its directory also makes that directory durable.
-    synced.clear()
-    cache.put(other, {"x": 2})
-    entry = cache._path(other)
     if fsync:
         assert synced == [
             entry.stat().st_ino, entry.parent.stat().st_ino, root.stat().st_ino
         ]
     else:
         assert synced == []
-    assert cache.get(key) == {"x": 1} and cache.get(other) == {"x": 2}
+    # Later puts sync the entry file before its rename, then its directory.
+    synced.clear()
+    cache.put(key, {"x": 2})
+    if fsync:
+        assert synced == [entry.stat().st_ino, entry.parent.stat().st_ino]
+    else:
+        assert synced == []
+    assert cache.get(key) == {"x": 2}
 
 
 # ----------------------------------------------------------------------
