@@ -1,15 +1,21 @@
 """Command-line interface: regenerate any paper experiment from a shell.
 
+Every experiment renders from the one experiment table
+(:mod:`repro.experiments.table`); ``report`` prints entries by ID, or
+writes all of them into a Markdown report.  The Figs 11-14 grid under
+any controller or core configuration is a ``sweep``.
+
 Examples::
 
-    tetris-write fig3
-    tetris-write fig10 --requests 4000
-    tetris-write fullsystem --workloads dedup vips --schemes dcw tetris
+    tetris-write report fig03_bit_profile fig04_timing_diagram
+    tetris-write report fig10_write_units --requests 4000
+    tetris-write report ablation_mobile
+    tetris-write report --out REPORT.md
+    tetris-write sweep --workloads dedup vips --schemes dcw tetris
+    tetris-write sweep --fastpath off --certificate "" --pausing
     tetris-write faults --rates 0 1e-3 --schemes dcw tetris
     tetris-write faults --wearout --endurance 60
-    tetris-write diagram --seed 7
     tetris-write trace --workload ferret --out ferret.npz
-    tetris-write ablation --sweep budget
 """
 
 from __future__ import annotations
@@ -19,118 +25,11 @@ import sys
 
 import numpy as np
 
-from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.report import format_table
-from repro.analysis.timing_diagram import render_timing_diagram
-from repro.config import default_config
 from repro.schemes import COMPARED_SCHEMES
 from repro.trace.workloads import WORKLOAD_NAMES
 
 __all__ = ["main"]
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.experiments.fig03 import run_fig03
-
-    rows = run_fig03(
-        tuple(args.workloads), requests_per_core=args.requests, seed=args.seed
-    )
-    print(
-        format_table(
-            ["workload", "SET/unit", "RESET/unit", "total"],
-            [[r.workload, r.mean_set, r.mean_reset, r.total] for r in rows],
-            title="Figure 3 — bit-writes per 64-bit data unit (post-inversion)",
-        )
-    )
-    print(
-        f"average: {arithmetic_mean([r.mean_set for r in rows]):.2f} SET + "
-        f"{arithmetic_mean([r.mean_reset for r in rows]):.2f} RESET "
-        f"(paper: 6.7 SET + 2.9 RESET)"
-    )
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    from repro.experiments.fig10 import run_fig10
-
-    rows = run_fig10(
-        tuple(args.workloads), requests_per_core=args.requests, seed=args.seed
-    )
-    print(
-        format_table(
-            ["workload", "DCW", "FNW", "2SW", "3SW", "Tetris"],
-            [
-                [r.workload, r.dcw, r.flip_n_write, r.two_stage, r.three_stage, r.tetris]
-                for r in rows
-            ],
-            title="Figure 10 — average write units per cache-line write",
-        )
-    )
-    return 0
-
-
-def _cmd_fullsystem(args: argparse.Namespace) -> int:
-    from repro.config import CPUConfig, MemCtrlConfig, PCMOrganization
-    from repro.experiments.runner import BASELINE_SCHEME, run_schemes_on_workloads
-
-    cfg = default_config().replace(
-        memctrl=MemCtrlConfig(
-            write_pausing=args.pausing,
-            write_coalescing=args.coalescing,
-            drain_order="sjf" if args.sjf else "fifo",
-            opportunistic_drain=args.opportunistic,
-        ),
-        organization=PCMOrganization(subarrays_per_bank=args.subarrays),
-        cpu=CPUConfig(max_outstanding_reads=args.mlp),
-    )
-    schemes = tuple(dict.fromkeys([BASELINE_SCHEME, *args.schemes]))
-    results = run_schemes_on_workloads(
-        schemes,
-        tuple(args.workloads),
-        config=cfg,
-        requests_per_core=args.requests,
-        seed=args.seed,
-        workers=args.workers,
-        cache=False if args.no_cache else None,
-    )
-    base = {r.workload: r for r in results if r.scheme == BASELINE_SCHEME}
-    rows = []
-    for r in results:
-        norm = r.normalized(base[r.workload])
-        rows.append(
-            [
-                r.workload,
-                r.scheme,
-                norm["read_latency"],
-                norm["write_latency"],
-                norm["ipc_improvement"],
-                norm["running_time"],
-                r.mean_write_units,
-            ]
-        )
-    print(
-        format_table(
-            ["workload", "scheme", "read-lat", "write-lat", "IPC-x", "runtime", "units"],
-            rows,
-            title="Full-system results normalized to the DCW baseline (Figs 11-14)",
-        )
-    )
-    return 0
-
-
-def _cmd_diagram(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.fig4:
-        # The worked example of the paper's Figure 4: per-chip write-1 /
-        # write-0 counts scheduled against the per-chip budget of 32.
-        n_set = np.array([8, 7, 7, 6, 6, 6, 5, 3])
-        n_reset = np.array([1, 1, 1, 2, 3, 2, 2, 5])
-        print(render_timing_diagram(n_set, n_reset, power_budget=32.0))
-    else:
-        n_set = rng.poisson(6.7, size=8)
-        n_reset = rng.poisson(2.9, size=8)
-        print(render_timing_diagram(n_set, n_reset))
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -152,32 +51,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         else:
             save_trace(trace, args.out)
         print(f"saved to {args.out}")
-    return 0
-
-
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    from repro.experiments import ablation
-    from repro.trace.synthetic import generate_trace
-
-    trace = generate_trace(args.workload, args.requests, seed=args.seed)
-    sweeps = {
-        "budget": ablation.sweep_power_budget,
-        "K": ablation.sweep_time_asymmetry,
-        "L": ablation.sweep_power_asymmetry,
-        "width": ablation.sweep_write_unit_width,
-        "flip": ablation.sweep_no_flip,
-    }
-    points = sweeps[args.sweep](trace)
-    print(
-        format_table(
-            ["parameter", "value", "mean units", "result", "subresult"],
-            [
-                [p.parameter, p.value, p.mean_units, p.mean_result, p.mean_subresult]
-                for p in points
-            ],
-            title=f"Tetris ablation: {args.sweep} sweep on {args.workload}",
-        )
-    )
     return 0
 
 
@@ -389,6 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from repro.config import CPUConfig, MemCtrlConfig, PCMOrganization, default_config
     from repro.experiments.runner import BASELINE_SCHEME
     from repro.parallel import RetryPolicy, SweepEngine, default_cache_dir
 
@@ -407,7 +281,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fastpath_kwargs = {}
     if args.recheck is not None:
         fastpath_kwargs["recheck_fraction"] = args.recheck
+    config = default_config().replace(
+        memctrl=MemCtrlConfig(
+            write_pausing=args.pausing,
+            write_coalescing=args.coalescing,
+            drain_order="sjf" if args.sjf else "fifo",
+            opportunistic_drain=args.opportunistic,
+        ),
+        organization=PCMOrganization(subarrays_per_bank=args.subarrays),
+        cpu=CPUConfig(max_outstanding_reads=args.mlp),
+    )
     engine = SweepEngine(
+        config=config,
         requests_per_core=args.requests,
         root_seed=args.seed,
         workers=args.workers,
@@ -584,40 +469,46 @@ def _maybe_json(args: argparse.Namespace, payload: dict) -> None:
         print(f"wrote {args.json}")
 
 
-def _service_client(args: argparse.Namespace):
-    """Connected client, or ``None`` when no endpoint is configured."""
-    from repro.service import ServiceClient, endpoint_from_env
+def _service_call(args: argparse.Namespace, call, offline=None) -> int:
+    """Run ``call(client)`` against the configured service endpoint.
+
+    One place owns the service verbs' exit codes: with no endpoint,
+    ``offline()`` runs if given, else 2; a structured service error is
+    1; an unreachable endpoint is 2; otherwise ``call``'s own code.
+    """
+    from repro.service import ProtocolError, ServiceClient, endpoint_from_env
 
     endpoint = getattr(args, "endpoint", "") or endpoint_from_env()
     if not endpoint:
-        return None
-    return ServiceClient(endpoint, tenant=getattr(args, "tenant", "default"))
+        if offline is not None:
+            return offline()
+        print("no endpoint: pass --endpoint or set REPRO_SERVICE")
+        return 2
+    client = ServiceClient(endpoint, tenant=getattr(args, "tenant", "default"))
+    try:
+        return call(client)
+    except ProtocolError as exc:
+        _print_service_error(exc)
+        return 1
+    except OSError as exc:
+        print(f"cannot reach service at {client.endpoint}: {exc}")
+        return 2
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import ProtocolError
-
     if args.drain:
-        client = _service_client(args)
-        if client is None:
-            print("no endpoint: pass --endpoint or set REPRO_SERVICE")
-            return 2
-        try:
+        def drain(client) -> int:
             reply = client.drain()
-        except ProtocolError as exc:
-            _print_service_error(exc)
-            return 1
-        except OSError as exc:
-            print(f"cannot reach service at {client.endpoint}: {exc}")
-            return 2
-        print(
-            f"draining: {reply.get('jobs_pending', 0)} job(s), "
-            f"{reply.get('cells_pending', 0)} cell(s) still in flight; "
-            "new submits now get a structured retry-after rejection"
-        )
-        return 0
+            print(
+                f"draining: {reply.get('jobs_pending', 0)} job(s), "
+                f"{reply.get('cells_pending', 0)} cell(s) still in flight; "
+                "new submits now get a structured retry-after rejection"
+            )
+            return 0
+
+        return _service_call(args, drain)
     return asyncio.run(_serve_async(args))
 
 
@@ -683,11 +574,16 @@ async def _serve_async(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ProtocolError, run_inprocess
-
     grid = _grid_from_args(args)
-    client = _service_client(args)
-    if client is None:
+
+    def finish(reply: dict) -> int:
+        _print_job_reply(reply)
+        _maybe_json(args, reply)
+        return 1 if reply.get("failed") else 0
+
+    def offline() -> int:
+        from repro.service import run_inprocess
+
         reply = run_inprocess(
             grid,
             tenant=args.tenant,
@@ -695,98 +591,61 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         print("no service endpoint: executed in process (degraded mode)")
-        _print_job_reply(reply)
-        _maybe_json(args, reply)
-        return 1 if reply.get("failed") else 0
-    try:
+        return finish(reply)
+
+    def submit(client) -> int:
         reply = client.submit(grid)
-        _print_job_reply(reply)
         if args.watch and reply.get("state") not in ("done", "cancelled"):
+            _print_job_reply(reply)
             for event in client.watch(reply["job"]):
                 if event.get("event") == "progress":
                     _print_job_reply(event)
             reply = client.status(reply["job"])
-            _print_job_reply(reply)
-        _maybe_json(args, reply)
-        return 1 if reply.get("failed") else 0
-    except ProtocolError as exc:
-        _print_service_error(exc)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach service at {client.endpoint}: {exc}")
-        return 2
+        return finish(reply)
+
+    return _service_call(args, submit, offline)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ProtocolError
-
-    client = _service_client(args)
-    if client is None:
-        print("no endpoint: pass --endpoint or set REPRO_SERVICE")
-        return 2
-    try:
+    def status(client) -> int:
         reply = client.status(args.job or None)
-    except ProtocolError as exc:
-        _print_service_error(exc)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach service at {client.endpoint}: {exc}")
-        return 2
-    if args.job:
-        _print_job_reply(reply)
-    else:
-        print(
-            f"service: draining={reply.get('draining')} "
-            f"workers={reply.get('workers')} "
-            f"counters={reply.get('counters')}"
-        )
-        for job_id, snap in sorted(reply.get("jobs", {}).items()):
-            _print_job_reply(snap)
-    _maybe_json(args, reply)
-    return 0
+        if args.job:
+            _print_job_reply(reply)
+        else:
+            print(
+                f"service: draining={reply.get('draining')} "
+                f"workers={reply.get('workers')} "
+                f"counters={reply.get('counters')}"
+            )
+            for job_id, snap in sorted(reply.get("jobs", {}).items()):
+                _print_job_reply(snap)
+        _maybe_json(args, reply)
+        return 0
+
+    return _service_call(args, status)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    from repro.service import ProtocolError
-
-    client = _service_client(args)
-    if client is None:
-        print("no endpoint: pass --endpoint or set REPRO_SERVICE")
-        return 2
-    try:
+    def watch(client) -> int:
         last = None
         for event in client.watch(args.job):
             _print_job_reply(event)
             last = event
-    except ProtocolError as exc:
-        _print_service_error(exc)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach service at {client.endpoint}: {exc}")
-        return 2
-    if last is not None:
-        _maybe_json(args, last)
-    return 0
+        if last is not None:
+            _maybe_json(args, last)
+        return 0
+
+    return _service_call(args, watch)
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.service import ProtocolError
-
-    client = _service_client(args)
-    if client is None:
-        print("no endpoint: pass --endpoint or set REPRO_SERVICE")
-        return 2
-    try:
+    def cancel(client) -> int:
         reply = client.cancel(args.job)
-    except ProtocolError as exc:
-        _print_service_error(exc)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach service at {client.endpoint}: {exc}")
-        return 2
-    _print_job_reply(reply)
-    _maybe_json(args, reply)
-    return 0
+        _print_job_reply(reply)
+        _maybe_json(args, reply)
+        return 0
+
+    return _service_call(args, cancel)
 
 
 def _split_schemes(tokens: list[str]) -> list[str]:
@@ -869,12 +728,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report_gen import generate_report
+    if not args.ids:
+        from repro.experiments.report_gen import generate_report
 
-    path = generate_report(
-        args.out, requests_per_core=args.requests, seed=args.seed
-    )
-    print(f"wrote {path}")
+        path = generate_report(
+            args.out, requests_per_core=args.requests, seed=args.seed
+        )
+        print(f"wrote {path}")
+        return 0
+    from repro.experiments.table import REPORT_EXPERIMENTS, Context
+
+    by_id = {exp.id: exp for exp in REPORT_EXPERIMENTS}
+    unknown = [i for i in args.ids if i not in by_id]
+    if unknown:
+        print(f"unknown experiment ID(s): {' '.join(unknown)}")
+        print(f"known IDs: {' '.join(by_id)}")
+        return 2
+    ctx = Context.build(args.requests, args.seed)
+    print("\n\n".join(by_id[i].render(by_id[i].run(ctx)) for i in args.ids))
     return 0
 
 
@@ -895,15 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=list(WORKLOAD_NAMES),
             )
 
-    p = sub.add_parser("fig3", help="bit-change characterization (Fig 3)")
-    common(p)
-    p.set_defaults(fn=_cmd_fig3)
-
-    p = sub.add_parser("fig10", help="write units per write (Fig 10)")
-    common(p)
-    p.set_defaults(fn=_cmd_fig10)
-
-    p = sub.add_parser("fullsystem", help="latency/IPC/runtime (Figs 11-14)")
+    p = sub.add_parser(
+        "sweep",
+        help="scheme x workload grid normalized to DCW (Figs 11-14): "
+             "parallel, cached, resumable (docs/PERFORMANCE.md)",
+    )
     common(p)
     p.add_argument("--schemes", nargs="+", default=list(COMPARED_SCHEMES))
     p.add_argument("--pausing", action="store_true",
@@ -918,17 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subarrays per bank (read-under-write bypass)")
     p.add_argument("--mlp", type=int, default=1,
                    help="outstanding reads per core (O3-like window)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size (results identical to serial)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the on-disk result cache (or set REPRO_NO_CACHE)")
-    p.set_defaults(fn=_cmd_fullsystem)
-
-    p = sub.add_parser(
-        "sweep", help="parallel cached scheme x workload sweep (docs/PERFORMANCE.md)"
-    )
-    common(p)
-    p.add_argument("--schemes", nargs="+", default=list(COMPARED_SCHEMES))
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size (results identical to serial)")
     p.add_argument("--no-cache", action="store_true",
@@ -1060,12 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "~/.cache/tetris-write/results)")
     p.set_defaults(fn=_cmd_cache)
 
-    p = sub.add_parser("diagram", help="chip-level timing diagram (Fig 4)")
-    p.add_argument("--seed", type=int, default=20160816)
-    p.add_argument("--fig4", action="store_true",
-                   help="use the paper's worked example numbers")
-    p.set_defaults(fn=_cmd_diagram)
-
     p = sub.add_parser("trace", help="generate and save a workload trace")
     common(p, workloads=False)
     p.add_argument("--workload", default="dedup", choices=list(WORKLOAD_NAMES))
@@ -1098,9 +948,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the table as JSON here")
     p.set_defaults(fn=_cmd_schemes)
 
-    p = sub.add_parser("report", help="run everything into a Markdown report")
+    p = sub.add_parser(
+        "report",
+        help="print experiment-table entries by ID, or run all of them "
+             "into a Markdown report",
+    )
     common(p, workloads=False)
-    p.add_argument("--out", default="REPORT.md")
+    p.add_argument("ids", nargs="*", metavar="ID",
+                   help="entries to print, e.g. fig10_write_units "
+                        "(default: write the whole report to --out)")
+    p.add_argument("--out", default="REPORT.md",
+                   help="Markdown report path (with no IDs)")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("faults", help="fault-injection sweep / wear-out curve")
@@ -1133,13 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="",
                    help="also write the nested metric registry JSON here")
     p.set_defaults(fn=_cmd_obs)
-
-    p = sub.add_parser("ablation", help="parameter sensitivity sweeps")
-    common(p, workloads=False)
-    p.add_argument("--workload", default="dedup", choices=list(WORKLOAD_NAMES))
-    p.add_argument("--sweep", default="budget",
-                   choices=["budget", "K", "L", "width", "flip"])
-    p.set_defaults(fn=_cmd_ablation)
 
     return parser
 

@@ -1,5 +1,8 @@
 """Experiment harnesses: one module per paper figure/table family.
 
+* :mod:`repro.experiments.table` — the experiment table: one spec per
+  result table, rendered by ``tetris-write report [ID ...]`` and run,
+  dumped and checked by ``benchmarks/bench_experiments.py``.
 * :mod:`repro.experiments.fig03` — workload bit-change characterization.
 * :mod:`repro.experiments.fig10` — write units per cache-line write.
 * :mod:`repro.experiments.fullsystem` — the Fig 11-14 full-system runs

@@ -23,10 +23,8 @@ from repro.core.read_stage import read_stage
 from repro.pcm.state import MemoryImage
 from repro.trace.content import realize_payload
 from repro.trace.record import Trace
-from repro.trace.synthetic import generate_trace
-from repro.trace.workloads import WORKLOAD_NAMES
 
-__all__ = ["BitProfileRow", "measure_bit_profile", "run_fig03"]
+__all__ = ["BitProfileRow", "measure_bit_profile"]
 
 
 @dataclass(frozen=True)
@@ -74,18 +72,3 @@ def measure_bit_profile(
     if units == 0:
         return BitProfileRow(trace.workload, 0.0, 0.0)
     return BitProfileRow(trace.workload, tot_set / units, tot_reset / units)
-
-
-def run_fig03(
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    *,
-    requests_per_core: int = 2000,
-    seed: int = 20160816,
-    functional: bool = False,
-) -> list[BitProfileRow]:
-    """Regenerate Figure 3's series for the given workloads."""
-    rows = []
-    for name in workloads:
-        trace = generate_trace(name, requests_per_core, seed=seed)
-        rows.append(measure_bit_profile(trace, functional=functional))
-    return rows

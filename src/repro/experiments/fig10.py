@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from repro.config import SystemConfig, default_config, theoretical_write_units
 from repro.core.batch import pack_batch
 from repro.trace.record import Trace
-from repro.trace.synthetic import generate_trace
-from repro.trace.workloads import WORKLOAD_NAMES
 
-__all__ = ["WriteUnitsRow", "measure_write_units", "run_fig10"]
+__all__ = ["WriteUnitsRow", "measure_write_units"]
 
 
 @dataclass(frozen=True)
@@ -58,19 +56,3 @@ def measure_write_units(
         tetris_result=float(packed.result.mean()) if units.size else 0.0,
         tetris_subresult=float(packed.subresult.mean()) if units.size else 0.0,
     )
-
-
-def run_fig10(
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    *,
-    requests_per_core: int = 2000,
-    seed: int = 20160816,
-    config: SystemConfig | None = None,
-) -> list[WriteUnitsRow]:
-    """Regenerate Figure 10's series for the given workloads."""
-    cfg = config if config is not None else default_config()
-    rows = []
-    for name in workloads:
-        trace = generate_trace(name, requests_per_core, seed=seed)
-        rows.append(measure_write_units(trace, cfg))
-    return rows

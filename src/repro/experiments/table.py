@@ -5,9 +5,11 @@ the paper figure or table it reproduces, how its rows are computed from
 a shared :class:`Context`, how they render, and the shape checks they
 must pass.  :data:`REPORT_EXPERIMENTS` holds the entries
 ``tetris-write report`` renders: the paper's figures, the ablation
-sweeps, power utilization and write pausing.  The remaining entries sit
-with the bench runner in ``benchmarks/bench_experiments.py``, which
-runs, renders and checks both lists (``make bench``).
+sweeps, power utilization and write pausing.  ``tetris-write report ID``
+prints one entry's rendering, byte for byte its text dump at the same
+``--requests``/``--seed``.  The remaining entries sit with the bench
+runner in ``benchmarks/bench_experiments.py``, which runs, renders and
+checks both lists (``make bench``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.power_util import power_utilization
 from repro.analysis.report import format_table
+from repro.analysis.timing_diagram import render_timing_diagram, scheme_timeline
 from repro.config import MemCtrlConfig, SystemConfig, default_config
 from repro.cpu.system import SystemResult
 from repro.experiments import ablation
@@ -168,6 +173,32 @@ def _fig03_check(rows: list[list]) -> None:
     total = {r[0]: r[3] for r in rows}
     assert total["blackscholes"] < 4
     assert total["vips"] > 14
+
+
+# --------------------------------------------------------------- Fig 4
+# The paper's worked example: 64 B line, four X16 chips, per-chip
+# budget 32 (32 SETs / 16 RESETs concurrently), RESET:SET current ratio
+# 2.  Write-1 currents 8+7+7+6+3 = 31 < 32 share write unit 1; the
+# remaining write-1s (6, 6, 5) run in write unit 2, whose interspace
+# absorbs every write-0.  Completion: Tetris T1 = 2 units < 3SW T2 =
+# 2.5 < 2SW T3 = 3 < FNW T4 = 4.
+FIG4_SET = np.array([8, 7, 7, 6, 6, 6, 5, 3])
+FIG4_RESET = np.array([1, 1, 1, 2, 3, 2, 2, 5])
+
+
+def _fig04_check(tl) -> None:
+    assert tl.tetris == 2.0            # T1: two write units, nothing extra
+    assert tl.three_stage == 2.5       # T2
+    assert tl.two_stage == 3.0         # T3
+    assert tl.flip_n_write == 4.0      # T4
+    assert tl.conventional == 8.0      # not drawn in the figure
+    assert tl.tetris_schedule.subresult == 0
+    # Every write-0 of the example fits the write-1 interspace: the
+    # paper's three in-a-row groupings all satisfy the budget.
+    sched = tl.tetris_schedule
+    assert sched.occupancy().max() <= 32.0
+    assert len(sched.write0_queue) == 8   # all units have RESETs
+    assert all(op.slot < sched.result * sched.K for op in sched.write0_queue)
 
 
 # -------------------------------------------------------------- Fig 10
@@ -402,6 +433,13 @@ REPORT_EXPERIMENTS: tuple[Experiment, ...] = (
         "Figure 3 — bit-writes per 64-bit data unit (post-inversion)",
         ("workload", "SET/unit", "RESET/unit", "total", "paper-total"),
         _fig03, _fig03_check, notes=_fig03_notes),
+    Experiment(
+        "fig04_timing_diagram", "Fig 4",
+        "Figure 4 — chip-level timing diagram of the worked example", (),
+        lambda ctx: scheme_timeline(FIG4_SET, FIG4_RESET, power_budget=32.0),
+        _fig04_check,
+        notes=lambda tl: render_timing_diagram(FIG4_SET, FIG4_RESET, power_budget=32.0)
+        + "\n\npaper ordering: T1(tetris) < T2(3SW)=2.5 < T3(2SW)=3 < T4(FNW)=4"),
     Experiment(
         "fig10_write_units", "Fig 10",
         "Figure 10 — average write units per cache-line write",

@@ -1,10 +1,24 @@
 """Smoke tests for the command-line interface."""
 
+import dataclasses
 import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Experiment-table entries cheap enough to run at the default scale.
+CHEAP_REPORT_IDS = (
+    "fig03_bit_profile", "fig04_timing_diagram", "fig10_write_units",
+    "ablation_budget", "ablation_K", "ablation_L", "ablation_mobile",
+    "ablation_flip", "power_utilization",
+)
 
 
 class TestParser:
@@ -14,25 +28,36 @@ class TestParser:
 
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3", "--workloads", "quake"])
+            build_parser().parse_args(["sweep", "--workloads", "quake"])
+
+    def test_parser_leaves_the_experiment_table_unimported(self):
+        """``serve`` start-up pays for the CLI import and parser, never
+        for the experiment table ``report`` loads on demand."""
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "sys.exit('repro.experiments.table' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCommands:
     def test_fig3(self, capsys):
-        assert main(["fig3", "--workloads", "blackscholes", "--requests", "200"]) == 0
+        assert main(["report", "fig03_bit_profile", "--requests", "200"]) == 0
         out = capsys.readouterr().out
         assert "blackscholes" in out
         assert "SET" in out
 
     def test_fig10(self, capsys):
-        assert main(["fig10", "--workloads", "swaptions", "--requests", "200"]) == 0
+        assert main(["report", "fig10_write_units", "--requests", "200"]) == 0
         out = capsys.readouterr().out
         assert "Tetris" in out
 
     def test_fullsystem(self, capsys):
         code = main([
-            "fullsystem", "--workloads", "swaptions",
-            "--schemes", "tetris", "--requests", "200",
+            "sweep", "--fastpath", "off", "--certificate", "",
+            "--workloads", "swaptions", "--schemes", "tetris",
+            "--requests", "200",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -59,13 +84,14 @@ class TestCommands:
         assert "table: " in out and "0 divergences" in out
 
     def test_diagram_fig4(self, capsys):
-        assert main(["diagram", "--fig4"]) == 0
+        assert main(["report", "fig04_timing_diagram"]) == 0
         out = capsys.readouterr().out
         assert "tetris" in out
         assert "result=" in out
 
-    def test_diagram_random(self, capsys):
-        assert main(["diagram", "--seed", "3"]) == 0
+    def test_diagram_random(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["timing_diagram.py", "--random", "3"])
+        runpy.run_path(str(ROOT / "examples" / "timing_diagram.py"))
         assert "Tset" in capsys.readouterr().out
 
     def test_trace_save(self, capsys, tmp_path):
@@ -87,11 +113,26 @@ class TestCommands:
 
     @pytest.mark.parametrize("sweep", ["budget", "K", "L", "width", "flip"])
     def test_ablation_sweeps(self, sweep, capsys):
-        assert main([
-            "ablation", "--sweep", sweep, "--requests", "150",
-            "--workload", "dedup",
-        ]) == 0
+        exp_id = {"width": "ablation_mobile"}.get(sweep, f"ablation_{sweep}")
+        assert main(["report", exp_id, "--requests", "150"]) == 0
         assert "mean units" in capsys.readouterr().out
+
+
+class TestReportCommand:
+    """``report ID`` prints exactly the entry's committed text dump."""
+
+    @pytest.mark.parametrize("exp_id", CHEAP_REPORT_IDS)
+    def test_prints_the_committed_dump(self, exp_id, capsys):
+        assert main(["report", exp_id]) == 0
+        dump = ROOT / "benchmarks" / "out" / f"{exp_id}.txt"
+        assert capsys.readouterr().out == dump.read_text()
+
+    def test_unknown_id_lists_the_known_ones(self, capsys):
+        assert main(["report", "fig10_write_units", "fig99"]) == 2
+        out = capsys.readouterr().out
+        assert "fig99" in out
+        for exp_id in CHEAP_REPORT_IDS:
+            assert exp_id in out
 
 
 class TestServiceCommands:
@@ -144,10 +185,7 @@ class TestServiceCommands:
         the flag was drain-only and serving fell back to the TCP default),
         and a drain-triggered exit is clean — rc 0, no tracebacks."""
         import json as _json
-        import os
         import socket
-        import subprocess
-        import sys
         import time
 
         sock = tmp_path / "tw.sock"
@@ -256,6 +294,26 @@ class TestSweepCommand:
         assert stats["executed"] == 0, "resume re-executed journaled cells"
         assert stats["resumed"] == stats["cells"]
         assert resumed["rows"] == first["rows"]
+
+    def test_config_flags_reach_every_cell(self, tmp_path):
+        """``--pausing`` runs the grid under the paused controller: rows
+        equal the runner's under that config, and differ from default."""
+        from repro.config import MemCtrlConfig, default_config
+        from repro.experiments.runner import run_schemes_on_workloads
+
+        grid = ["--schemes", "tetris", "--workloads", "dedup",
+                "--requests", "200", "--fastpath", "off", "--certificate", ""]
+        code, doc = self._sweep([*grid, "--pausing"], tmp_path / "paused.json")
+        assert code == 0
+        paused = default_config().replace(memctrl=MemCtrlConfig(write_pausing=True))
+        expected = [
+            dataclasses.asdict(r) for r in run_schemes_on_workloads(
+                ("dcw", "tetris"), ("dedup",), config=paused,
+                requests_per_core=200, seed=20160816)
+        ]
+        assert doc["rows"] == expected
+        _, plain = self._sweep(grid, tmp_path / "plain.json")
+        assert plain["rows"] != expected
 
     def test_failed_baseline_cell_reports_instead_of_crashing(
         self, tmp_path, monkeypatch, capsys

@@ -1,4 +1,4 @@
-"""Tests for the experiment harnesses (fig03 / fig10 / runner / ablation)."""
+"""Tests for the experiment harnesses (Fig 3 / Fig 10 / runner / ablation)."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from repro.experiments.ablation import (
     sweep_time_asymmetry,
     sweep_write_unit_width,
 )
-from repro.experiments.fig03 import measure_bit_profile, run_fig03
-from repro.experiments.fig10 import measure_write_units, run_fig10
+from repro.experiments.fig03 import measure_bit_profile
+from repro.experiments.fig10 import measure_write_units
 from repro.experiments.fullsystem import precompute_write_service
 from repro.experiments.runner import (
     BASELINE_SCHEME,
@@ -42,9 +42,11 @@ class TestFig03:
         assert slow.mean_set == pytest.approx(fast.mean_set, rel=0.25)
         assert slow.mean_reset == pytest.approx(fast.mean_reset, rel=0.3)
 
-    def test_run_fig03_rows(self):
-        rows = run_fig03(("blackscholes", "vips"), requests_per_core=300)
-        by_name = {r.workload: r for r in rows}
+    def test_bit_profile_rows(self):
+        by_name = {
+            name: measure_bit_profile(generate_trace(name, 300))
+            for name in ("blackscholes", "vips")
+        }
         assert by_name["blackscholes"].total < by_name["vips"].total
 
 
@@ -61,9 +63,11 @@ class TestFig10:
         # Paper: 1.06 - 1.46 across workloads; dedup is at the heavy end.
         assert 1.0 <= row.tetris <= 1.6
 
-    def test_run_fig10_ordering(self):
-        rows = run_fig10(("blackscholes", "dedup"), requests_per_core=300)
-        by_name = {r.workload: r for r in rows}
+    def test_write_units_ordering(self):
+        by_name = {
+            name: measure_write_units(generate_trace(name, 300))
+            for name in ("blackscholes", "dedup")
+        }
         assert by_name["blackscholes"].tetris <= by_name["dedup"].tetris
 
 

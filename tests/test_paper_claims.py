@@ -13,13 +13,21 @@ recorded in EXPERIMENTS.md.
 import pytest
 
 from repro.analysis.metrics import arithmetic_mean
-from repro.experiments.fig03 import run_fig03
-from repro.experiments.fig10 import run_fig10
+from repro.experiments.fig03 import measure_bit_profile
+from repro.experiments.fig10 import measure_write_units
 from repro.experiments.runner import run_schemes_on_workloads
 from repro.oracle.paper_claims import RANKINGS, band, expect
+from repro.trace.synthetic import generate_trace
+from repro.trace.workloads import WORKLOAD_NAMES
 
 SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
 HEAVY_WORKLOADS = ("dedup", "ferret", "vips")
+
+
+@pytest.fixture(scope="module")
+def traces():
+    """One 800-requests/core trace per PARSEC workload (Figs 3 and 10)."""
+    return [generate_trace(name, 800) for name in WORKLOAD_NAMES]
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +70,9 @@ def assert_ranked(values: dict, metric: str, workload: str) -> None:
 
 
 class TestObservation1:
-    def test_average_bit_writes_small(self):
+    def test_average_bit_writes_small(self, traces):
         """Observation 1: ~9.6 bit-writes per 64-bit unit (about 15 %)."""
-        rows = run_fig03(requests_per_core=800)
+        rows = [measure_bit_profile(t) for t in traces]
         expect(
             "fig3_mean_bit_writes",
             arithmetic_mean([r.total for r in rows]),
@@ -75,13 +83,13 @@ class TestObservation1:
 
 
 class TestObservation2:
-    def test_heterogeneity_across_workloads(self):
-        rows = {r.workload: r for r in run_fig03(requests_per_core=800)}
+    def test_heterogeneity_across_workloads(self, traces):
+        rows = {t.workload: measure_bit_profile(t) for t in traces}
         expect("fig3_blackscholes_total", rows["blackscholes"].total)
         expect("fig3_vips_total", rows["vips"].total)
 
-    def test_ferret_and_vips_fifty_fifty(self):
-        rows = {r.workload: r for r in run_fig03(requests_per_core=800)}
+    def test_ferret_and_vips_fifty_fifty(self, traces):
+        rows = {t.workload: measure_bit_profile(t) for t in traces}
         for name in ("ferret", "vips"):
             expect(
                 "fig3_set_share_5050",
@@ -90,14 +98,14 @@ class TestObservation2:
 
 
 class TestFig10Claims:
-    def test_tetris_average_band(self):
-        rows = run_fig10(requests_per_core=800)
+    def test_tetris_average_band(self, traces):
+        rows = [measure_write_units(t) for t in traces]
         for r in rows:
             expect("fig10_tetris_units", r.tetris)
         assert all(r.tetris < r.three_stage for r in rows)
 
-    def test_heavy_workloads_use_more_units(self):
-        rows = {r.workload: r for r in run_fig10(requests_per_core=800)}
+    def test_heavy_workloads_use_more_units(self, traces):
+        rows = {t.workload: measure_write_units(t) for t in traces}
         light = rows["blackscholes"].tetris
         for heavy in ("dedup", "vips"):
             assert rows[heavy].tetris >= light

@@ -11,6 +11,7 @@ class TestGenerateReport:
         for heading in (
             "# Tetris Write — reproduction report",
             "## Figure 3",
+            "## Figure 4",
             "## Figure 10",
             "## Figure 11",
             "## Figure 12",
