@@ -41,11 +41,11 @@ from repro.experiments.fullsystem import (
 from repro.experiments.table import (
     REPORT_EXPERIMENTS, Context, Experiment, read_gain, versus, with_average)
 from repro.memctrl.frfcfs import RowBufferModel
+from repro.parallel import ResultCache, SweepEngine
 from repro.pcm.energy import EnergyModel
 from repro.pcm.mlc import MLCModel
 from repro.pcm.state import LineState, MemoryImage, initial_line_content
 from repro.pcm.variation import ProcessVariation
-from repro.parallel import ResultCache, SweepEngine
 from repro.pcm.wear import StartGapLeveler, WearTracker
 from repro.schemes import SCHEME_REGISTRY, get_scheme
 from repro.trace.content import realize_payload

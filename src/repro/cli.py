@@ -472,41 +472,46 @@ def _maybe_json(args: argparse.Namespace, payload: dict) -> None:
 def _service_call(args: argparse.Namespace, call, offline=None) -> int:
     """Run ``call(client)`` against the configured service endpoint.
 
-    One place owns the service verbs' exit codes: with no endpoint,
-    ``offline()`` runs if given, else 2; a structured service error is
-    1; an unreachable endpoint is 2; otherwise ``call``'s own code.
+    ``call`` (and ``offline``) return ``(exit code, reply)``; the reply
+    is what ``--json`` writes.  One place owns the service verbs' exit
+    codes: with no endpoint, ``offline()`` runs if given, else 2; a
+    structured service error is 1; an unreachable endpoint is 2.
     """
     from repro.service import ProtocolError, ServiceClient, endpoint_from_env
 
     endpoint = getattr(args, "endpoint", "") or endpoint_from_env()
-    if not endpoint:
-        if offline is not None:
-            return offline()
+    if endpoint:
+        client = ServiceClient(endpoint, tenant=getattr(args, "tenant", "default"))
+        try:
+            code, reply = call(client)
+        except ProtocolError as exc:
+            _print_service_error(exc)
+            return 1
+        except OSError as exc:
+            print(f"cannot reach service at {client.endpoint}: {exc}")
+            return 2
+    elif offline is not None:
+        code, reply = offline()
+    else:
         print("no endpoint: pass --endpoint or set REPRO_SERVICE")
         return 2
-    client = ServiceClient(endpoint, tenant=getattr(args, "tenant", "default"))
-    try:
-        return call(client)
-    except ProtocolError as exc:
-        _print_service_error(exc)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach service at {client.endpoint}: {exc}")
-        return 2
+    if reply is not None:
+        _maybe_json(args, reply)
+    return code
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     if args.drain:
-        def drain(client) -> int:
+        def drain(client) -> tuple[int, dict]:
             reply = client.drain()
             print(
                 f"draining: {reply.get('jobs_pending', 0)} job(s), "
                 f"{reply.get('cells_pending', 0)} cell(s) still in flight; "
                 "new submits now get a structured retry-after rejection"
             )
-            return 0
+            return 0, reply
 
         return _service_call(args, drain)
     return asyncio.run(_serve_async(args))
@@ -576,12 +581,11 @@ async def _serve_async(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
 
-    def finish(reply: dict) -> int:
+    def finish(reply: dict) -> tuple[int, dict]:
         _print_job_reply(reply)
-        _maybe_json(args, reply)
-        return 1 if reply.get("failed") else 0
+        return (1 if reply.get("failed") else 0), reply
 
-    def offline() -> int:
+    def offline() -> tuple[int, dict]:
         from repro.service import run_inprocess
 
         reply = run_inprocess(
@@ -593,7 +597,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print("no service endpoint: executed in process (degraded mode)")
         return finish(reply)
 
-    def submit(client) -> int:
+    def submit(client) -> tuple[int, dict]:
         reply = client.submit(grid)
         if args.watch and reply.get("state") not in ("done", "cancelled"):
             _print_job_reply(reply)
@@ -607,7 +611,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    def status(client) -> int:
+    def status(client) -> tuple[int, dict]:
         reply = client.status(args.job or None)
         if args.job:
             _print_job_reply(reply)
@@ -619,31 +623,27 @@ def _cmd_status(args: argparse.Namespace) -> int:
             )
             for job_id, snap in sorted(reply.get("jobs", {}).items()):
                 _print_job_reply(snap)
-        _maybe_json(args, reply)
-        return 0
+        return 0, reply
 
     return _service_call(args, status)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    def watch(client) -> int:
+    def watch(client) -> tuple[int, dict | None]:
         last = None
         for event in client.watch(args.job):
             _print_job_reply(event)
             last = event
-        if last is not None:
-            _maybe_json(args, last)
-        return 0
+        return 0, last
 
     return _service_call(args, watch)
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    def cancel(client) -> int:
+    def cancel(client) -> tuple[int, dict]:
         reply = client.cancel(args.job)
         _print_job_reply(reply)
-        _maybe_json(args, reply)
-        return 0
+        return 0, reply
 
     return _service_call(args, cancel)
 

@@ -175,6 +175,24 @@ class TestServiceCommands:
         assert code == 2
         assert "cannot reach service" in capsys.readouterr().out
 
+    def test_json_write_failure_is_not_an_unreachable_service(
+        self, monkeypatch, tmp_path
+    ):
+        """Regression: ``submit --json`` into a missing directory was
+        reported as "cannot reach service" and exited 2."""
+
+        class Client:
+            def __init__(self, endpoint, tenant):
+                self.endpoint = endpoint
+
+            def submit(self, grid):
+                return {"job": "j0", "state": "done", "done": 1, "total": 1}
+
+        monkeypatch.setattr("repro.service.ServiceClient", Client)
+        with pytest.raises(FileNotFoundError):
+            main(["submit", "--endpoint", "unix:/nowhere.sock",
+                  "--json", str(tmp_path / "missing" / "job.json")])
+
     def test_drain_requires_an_endpoint(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
         assert main(["serve", "--drain"]) == 2
