@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from repro.analysis.timing_diagram import render_timing_diagram
+from repro.experiments.table import FIG4_RESET, FIG4_SET
 
 if "--random" in sys.argv:
     seed = int(sys.argv[sys.argv.index("--random") + 1])
@@ -26,7 +27,5 @@ if "--random" in sys.argv:
     print(f"random write (seed {seed}), bank budget 128:\n")
     print(render_timing_diagram(n_set, n_reset))
 else:
-    n_set = np.array([8, 7, 7, 6, 6, 6, 5, 3])
-    n_reset = np.array([1, 1, 1, 2, 3, 2, 2, 5])
     print("paper Figure 4 worked example, per-chip budget 32:\n")
-    print(render_timing_diagram(n_set, n_reset, power_budget=32.0))
+    print(render_timing_diagram(FIG4_SET, FIG4_RESET, power_budget=32.0))

@@ -13,8 +13,7 @@ Examples::
     tetris-write report --out REPORT.md
     tetris-write sweep --workloads dedup vips --schemes dcw tetris
     tetris-write sweep --fastpath off --certificate "" --pausing
-    tetris-write faults --rates 0 1e-3 --schemes dcw tetris
-    tetris-write faults --wearout --endurance 60
+    tetris-write report fault_sweep fault_wearout
     tetris-write trace --workload ferret --out ferret.npz
 """
 
@@ -51,74 +50,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         else:
             save_trace(trace, args.out)
         print(f"saved to {args.out}")
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.experiments.faults import retirement_curve, run_fault_sweep
-
-    if args.wearout:
-        points = retirement_curve(
-            scheme_name=args.schemes[0],
-            endurance_mean=args.endurance,
-            seed=args.seed,
-        )
-        print(
-            format_table(
-                ["writes", "stuck cells", "ECP lines", "retired", "attempts", "lost"],
-                [
-                    [
-                        p.writes_issued,
-                        p.stuck_cells,
-                        p.ecp_lines,
-                        p.retired_lines,
-                        p.mean_attempts,
-                        p.uncorrectable,
-                    ]
-                    for p in points
-                ],
-                title=(
-                    f"Wear-out cascade: {args.schemes[0]} hammering with "
-                    f"endurance_mean={args.endurance:g}"
-                ),
-            )
-        )
-        return 0
-    rows = run_fault_sweep(
-        tuple(args.rates),
-        tuple(args.schemes),
-        workload=args.workload,
-        requests_per_core=args.requests,
-        seed=args.seed,
-    )
-    print(
-        format_table(
-            [
-                "scheme", "rate", "writes", "attempts", "retry%",
-                "mean ns", "P50 ns", "P99 ns", "energy", "degr", "lost",
-            ],
-            [
-                [
-                    r.scheme,
-                    f"{r.rate:g}",
-                    r.writes,
-                    r.mean_attempts,
-                    100.0 * r.retry_rate,
-                    r.mean_service_ns,
-                    r.p50_service_ns,
-                    r.p99_service_ns,
-                    r.mean_energy,
-                    r.degraded_writes,
-                    r.uncorrectable,
-                ]
-                for r in rows
-            ],
-            title=(
-                "Fault sweep — transient bit-error rate vs write service "
-                f"({args.workload})"
-            ),
-        )
-    )
     return 0
 
 
@@ -749,6 +680,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetris-write",
@@ -758,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, workloads: bool = True) -> None:
         p.add_argument("--seed", type=int, default=20160816)
-        p.add_argument("--requests", type=int, default=2000,
+        p.add_argument("--requests", type=_positive_int, default=2000,
                        help="memory requests per core")
         if workloads:
             p.add_argument(
@@ -960,19 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="REPORT.md",
                    help="Markdown report path (with no IDs)")
     p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("faults", help="fault-injection sweep / wear-out curve")
-    common(p, workloads=False)
-    p.add_argument("--workload", default="dedup", choices=list(WORKLOAD_NAMES))
-    p.add_argument("--schemes", nargs="+", default=["dcw", "tetris"])
-    p.add_argument("--rates", nargs="+", type=float,
-                   default=[0.0, 1e-4, 1e-3, 1e-2],
-                   help="transient per-bit program-failure rates to sweep")
-    p.add_argument("--wearout", action="store_true",
-                   help="hammer lines to chart the ECP/retirement cascade")
-    p.add_argument("--endurance", type=float, default=60.0,
-                   help="mean cell endurance for the --wearout hammer")
-    p.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser(
         "obs", help="record a Perfetto-loadable trace (docs/OBSERVABILITY.md)"

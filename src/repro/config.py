@@ -78,13 +78,11 @@ class PCMPower:
     pump can supply at one instant — 32 per chip in the paper's worked
     example (so 32 SETs *or* 16 RESETs per chip at once), 128 per bank
     when the four chips pool their pumps through the Global Charge Pump.
+    The pump's 125 mW draw (§IV.D) is ``AnalysisOverheadModel.pump_power_mw``.
     """
 
     reset_set_current_ratio: float = 2.0
     power_budget_per_chip: float = 32.0
-    gcp_enabled: bool = True
-    pump_voltage_v: float = 5.0
-    pump_current_ma: float = 25.0
 
     def __post_init__(self) -> None:
         if self.reset_set_current_ratio <= 0:
@@ -96,11 +94,6 @@ class PCMPower:
     def L(self) -> float:
         """The paper's power-asymmetry constant (Creset / Cset)."""
         return self.reset_set_current_ratio
-
-    @property
-    def baseline_write_power_mw(self) -> float:
-        """Pump power in division-write mode (§IV.D: 5 V x 25 mA = 125 mW)."""
-        return self.pump_voltage_v * self.pump_current_ma
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Two questions the robustness subsystem (``repro.faults``) must answer
 quantitatively:
 
 * **What does reliability cost?** :func:`run_fault_sweep` replays one
-  workload's writes through each scheme at a range of transient bit-error
+  trace's writes through each scheme at a range of transient bit-error
   rates and reports how the verify-and-retry loop stretches the service
   latency distribution (mean / P50 / P99) and energy.  At rate 0 the
   numbers must coincide with the fault-free simulator (the bench in
@@ -16,7 +16,8 @@ quantitatively:
 
 Both are deterministic for a fixed seed: payloads come from counter-based
 ``SeedSequence`` streams and the fault model draws all randomness from
-``FaultConfig.seed``.
+``FaultConfig.seed``.  The experiment table renders both
+(``tetris-write report fault_sweep fault_wearout``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.schemes import get_scheme
 from repro.sim.stats import FaultStats, Histogram, LatencyStat
 from repro.trace.content import realize_payload
 from repro.trace.record import Trace
-from repro.trace.synthetic import generate_trace
 
 __all__ = [
     "FaultSweepRow",
@@ -121,17 +121,17 @@ def replay_writes(
 
 
 def run_fault_sweep(
+    trace: Trace,
     rates: tuple[float, ...] = DEFAULT_RATES,
     schemes: tuple[str, ...] = DEFAULT_SCHEMES,
     *,
-    workload: str = "dedup",
-    requests_per_core: int = 600,
-    seed: int = 20160816,
     config: SystemConfig | None = None,
 ) -> list[FaultSweepRow]:
-    """Sweep transient bit-error rate x scheme -> latency/energy rows."""
+    """Sweep transient bit-error rate x scheme -> latency/energy rows.
+
+    The fault model is seeded with ``trace.seed``.
+    """
     base = config if config is not None else default_config()
-    trace = generate_trace(workload, requests_per_core, seed=seed)
     rows = []
     for scheme_name in schemes:
         for rate in rates:
@@ -139,7 +139,7 @@ def run_fault_sweep(
                 faults=FaultConfig(
                     enabled=True,
                     transient_bit_error_rate=rate,
-                    seed=seed,
+                    seed=trace.seed,
                 )
             )
             stats, lat, hist, bank = replay_writes(scheme_name, trace, cfg)

@@ -3,10 +3,11 @@
 ``tetris-write report --out REPORT.md`` runs every entry of
 :data:`~repro.experiments.table.REPORT_EXPERIMENTS` — workload
 characterization, the Fig 4 worked example, write units, the four
-full-system figures, the ablation sweeps, power utilization and write
-pausing — at a configurable scale, and renders each one's table (with
-the paper's reference numbers in its notes) into a self-contained
-report.  ``tetris-write report ID ...`` prints single entries instead.
+full-system figures, the ablation sweeps, power utilization, write
+pausing and the fault experiments — at a configurable scale, and
+renders each one's table (with the paper's reference numbers in its
+notes) into a self-contained report.  ``tetris-write report ID ...``
+prints single entries instead.
 """
 
 from __future__ import annotations

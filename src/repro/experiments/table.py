@@ -5,9 +5,9 @@ the paper figure or table it reproduces, how its rows are computed from
 a shared :class:`Context`, how they render, and the shape checks they
 must pass.  :data:`REPORT_EXPERIMENTS` holds the entries
 ``tetris-write report`` renders: the paper's figures, the ablation
-sweeps, power utilization and write pausing.  ``tetris-write report ID``
-prints one entry's rendering, byte for byte its text dump at the same
-``--requests``/``--seed``.  The remaining entries sit with the bench
+sweeps, power utilization, write pausing and the fault experiments.
+``tetris-write report ID`` prints one entry's rendering, byte for byte
+its text dump at the same ``--requests``/``--seed``.  The remaining entries sit with the bench
 runner in ``benchmarks/bench_experiments.py``, which runs, renders and
 checks both lists (``make bench``).
 """
@@ -18,8 +18,6 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.power_util import power_utilization
 from repro.analysis.report import format_table
@@ -27,6 +25,7 @@ from repro.analysis.timing_diagram import render_timing_diagram, scheme_timeline
 from repro.config import MemCtrlConfig, SystemConfig, default_config
 from repro.cpu.system import SystemResult
 from repro.experiments import ablation
+from repro.experiments.faults import retirement_curve, run_fault_sweep
 from repro.experiments.fig03 import measure_bit_profile
 from repro.experiments.fig10 import measure_write_units
 from repro.experiments.fullsystem import (
@@ -36,8 +35,8 @@ from repro.trace.synthetic import Trace, generate_trace
 from repro.trace.workloads import WORKLOAD_NAMES
 
 __all__ = [
-    "Context", "Experiment", "REPORT_EXPERIMENTS", "SCHEMES", "read_gain",
-    "versus", "with_average",
+    "Context", "Experiment", "FIG4_RESET", "FIG4_SET", "REPORT_EXPERIMENTS",
+    "SCHEMES", "read_gain", "versus", "with_average",
 ]
 
 #: The paper's compared schemes; DCW (first) is the normalization baseline.
@@ -182,8 +181,8 @@ def _fig03_check(rows: list[list]) -> None:
 # remaining write-1s (6, 6, 5) run in write unit 2, whose interspace
 # absorbs every write-0.  Completion: Tetris T1 = 2 units < 3SW T2 =
 # 2.5 < 2SW T3 = 3 < FNW T4 = 4.
-FIG4_SET = np.array([8, 7, 7, 6, 6, 6, 5, 3])
-FIG4_RESET = np.array([1, 1, 1, 2, 3, 2, 2, 5])
+FIG4_SET = (8, 7, 7, 6, 6, 6, 5, 3)
+FIG4_RESET = (1, 1, 1, 2, 3, 2, 2, 5)
 
 
 def _fig04_check(tl) -> None:
@@ -427,6 +426,49 @@ def _pausing_check(rows: list[list]) -> None:
     assert by["tetris"][3] < by["dcw"][3]
 
 
+# ---------------------------------------------------- fault injection
+# Not in the paper: what reliability costs (docs/FAULTS.md).  The sweep
+# replays dedup's writes through DCW and Tetris at rising transient
+# bit-error rates; the wear-out curve hammers four lines with a tiny
+# endurance budget until ECP, spares and finally lines run out.
+
+def _fault_sweep(ctx: Context) -> list[list]:
+    return [[r.scheme, f"{r.rate:g}", r.writes, r.mean_attempts,
+             100.0 * r.retry_rate, r.mean_service_ns, r.p50_service_ns,
+             r.p99_service_ns, r.mean_energy, r.degraded_writes, r.uncorrectable]
+            for r in run_fault_sweep(ctx.traces["dedup"], config=ctx.config)]
+
+
+def _fault_sweep_check(rows: list[list]) -> None:
+    by: dict[str, list[list]] = {}
+    for r in rows:
+        by.setdefault(r[0], []).append(r)
+    for scheme, points in by.items():
+        # Rate 0 is the fault-free path: one attempt, no retries.
+        assert points[0][1] == "0" and points[0][3] == 1.0 and points[0][4] == 0.0
+        # Attempts and mean service rise with the rate.
+        for a, b in zip(points, points[1:]):
+            assert b[3] > a[3] and b[5] > a[5], scheme
+    # Tetris stays faster than DCW at every rate.
+    for dcw, tetris in zip(by["dcw"], by["tetris"]):
+        assert tetris[5] < dcw[5], dcw[1]
+
+
+def _fault_wearout(ctx: Context) -> list[list]:
+    return [[p.writes_issued, p.stuck_cells, p.ecp_lines, p.retired_lines,
+             p.mean_attempts, p.uncorrectable]
+            for p in retirement_curve(seed=ctx.seed, config=ctx.config)]
+
+
+def _wearout_check(rows: list[list]) -> None:
+    # Degradation only accumulates, and the hammer gets to its end.
+    for a, b in zip(rows, rows[1:]):
+        assert b[1] >= a[1] and b[3] >= a[3]
+    last = rows[-1]
+    assert last[1] > 0
+    assert last[3] > 0 or last[5] > 0
+
+
 REPORT_EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "fig03_bit_profile", "Fig 3",
@@ -489,4 +531,15 @@ REPORT_EXPERIMENTS: tuple[Experiment, ...] = (
         notes="Pausing reclaims most when writes are long (DCW); Tetris's"
         "\nshort writes leave it little to do — scheduling at the chip"
         "\nattacks the root cause the controller-side fix works around."),
+    Experiment(
+        "fault_sweep", "fault injection (ours)",
+        "Fault sweep — transient bit-error rate vs write service (dedup)",
+        ("scheme", "rate", "writes", "attempts", "retry%", "mean ns", "P50 ns",
+         "P99 ns", "energy", "degr", "lost"),
+        _fault_sweep, _fault_sweep_check),
+    Experiment(
+        "fault_wearout", "fault injection (ours)",
+        "Wear-out cascade: dcw hammering with endurance_mean=60",
+        ("writes", "stuck cells", "ECP lines", "retired", "attempts", "lost"),
+        _fault_wearout, _wearout_check),
 )

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHEAP_REPORT_IDS = (
     "fig03_bit_profile", "fig04_timing_diagram", "fig10_write_units",
     "ablation_budget", "ablation_K", "ablation_L", "ablation_mobile",
-    "ablation_flip", "power_utilization",
+    "ablation_flip", "power_utilization", "fault_wearout",
 )
 
 
@@ -29,6 +29,19 @@ class TestParser:
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--workloads", "quake"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--requests", "0", "--workloads", "dedup", "--schemes", "dcw", "tetris"],
+        ["report", "fig03_bit_profile", "--requests", "0"],
+        ["report", "fig03_bit_profile", "--requests", "-5"],
+        ["trace", "--requests", "-1"],
+        ["obs", "--requests", "0", "--fullsystem"],
+    ], ids=lambda argv: f"{argv[0]}{argv[argv.index('--requests') + 1]}")
+    def test_rejects_nonpositive_requests(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--requests: must be a positive integer" in capsys.readouterr().err
 
     def test_parser_leaves_the_experiment_table_unimported(self):
         """``serve`` start-up pays for the CLI import and parser, never

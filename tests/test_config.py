@@ -1,6 +1,8 @@
 """Unit tests for repro.config — Table II constants and derived values."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -48,10 +50,6 @@ class TestPCMTimings:
 class TestPCMPower:
     def test_paper_ratio(self):
         assert PCMPower().L == 2.0
-
-    def test_baseline_pump_power(self):
-        # §IV.D: 5 V x 25 mA = 125 mW.
-        assert PCMPower().baseline_write_power_mw == pytest.approx(125.0)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ConfigError):
@@ -179,3 +177,54 @@ class TestTheoreticalWriteUnits:
         t = theoretical_write_units(big)
         assert t["conventional"] == 16.0
         assert t["three_stage"] == pytest.approx(5.0)
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Attribute names and ``getattr(obj, "name")`` literals in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def test_every_config_field_is_read():
+    """Every field of ``SystemConfig`` and its nested configs is read
+    somewhere under ``src/repro`` outside ``config.py``, directly or
+    through a ``config.py`` property or method that is itself read (a
+    setting nothing reads still moves every cache key)."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    config_py = src / "config.py"
+    read = set()
+    for path in src.rglob("*.py"):
+        if path != config_py:
+            read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    members = [
+        (node.name, _names_read(node))
+        for cls in ast.parse(config_py.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name != "__post_init__"
+    ]
+    grew = True
+    while grew:
+        grew = False
+        for name, reads in members:
+            if name in read and not reads <= read:
+                read |= reads
+                grew = True
+    config = default_config()
+    classes = {SystemConfig}
+    for value in vars(config).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(item):
+                classes.add(type(item))
+    unread = sorted(
+        f"{cls.__name__}.{f.name}"
+        for cls in classes for f in dataclasses.fields(cls) if f.name not in read
+    )
+    assert unread == []

@@ -451,10 +451,14 @@ def test_fault_stats_observe_folds_outcomes():
 
 def test_fault_sweep_is_deterministic_and_monotone():
     from repro.experiments.faults import run_fault_sweep
+    from repro.trace.synthetic import generate_trace
 
-    kwargs = dict(workload="dedup", requests_per_core=120, seed=SEED)
-    rows_a = run_fault_sweep((0.0, 1e-2), ("dcw",), **kwargs)
-    rows_b = run_fault_sweep((0.0, 1e-2), ("dcw",), **kwargs)
+    def sweep():
+        trace = generate_trace("dedup", 120, seed=SEED)
+        return run_fault_sweep(trace, (0.0, 1e-2), ("dcw",))
+
+    rows_a = sweep()
+    rows_b = sweep()
     assert rows_a == rows_b
     clean, noisy = rows_a
     assert clean.mean_attempts == pytest.approx(1.0)

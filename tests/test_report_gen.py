@@ -19,6 +19,8 @@ class TestGenerateReport:
             "## Figure 14",
             "## Ablation — bank power budget",
             "## Ablation — §I mobile division modes",
+            "## Fault sweep",
+            "## Wear-out cascade",
         ):
             assert heading in text, heading
 
