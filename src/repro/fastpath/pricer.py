@@ -476,6 +476,15 @@ def model_cell(
             k = c.next_w[c.k]
             if k < c.n:
                 heapq.heappush(heap, (c.issue[k] + c.D, ci))
+    if pend_lines:
+        # Reads after a core's last write may hit a line whose write is
+        # still queued for the final drain: they forward too.
+        for c in cores:
+            line = c.line
+            nh = sum(1 for j in range(c.k, c.n) if line[j] in pend_lines)
+            n_fwd += nh
+            read_extra += nh * (fwd_ns - t_read)
+            c.D -= nh * (t_read - fwd_ns)
 
     finishes = [(c.finish[c.n - 1] + c.D) if c.n else 0.0 for c in cores]
     runtime = max(finishes) if finishes else 0.0
