@@ -425,9 +425,15 @@ class SystemConfig:
         data = dict(data)
         faults = data.pop("faults", None)
         trace = data.pop("trace", None)
+        # Configs saved while the pump carried these settings (nothing
+        # ever read them) load without them.
+        power = {
+            k: v for k, v in data.pop("power").items()
+            if k not in ("gcp_enabled", "pump_voltage_v", "pump_current_ma")
+        }
         return SystemConfig(
             timings=PCMTimings(**data.pop("timings")),
-            power=PCMPower(**data.pop("power")),
+            power=PCMPower(**power),
             organization=PCMOrganization(**data.pop("organization")),
             cpu=CPUConfig(**data.pop("cpu")),
             memctrl=MemCtrlConfig(**data.pop("memctrl")),

@@ -1,6 +1,8 @@
 """Tests for access-pattern generation, config serialization and the
 trace-stats CLI command."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.experiments.fullsystem import run_fullsystem
 from repro.trace.io import save_trace
 from repro.trace.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.trace.workloads import get_workload
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestAccessPatterns:
@@ -82,6 +86,13 @@ class TestConfigSerialization:
         again = SystemConfig.from_dict(cfg.to_dict())
         assert again == cfg
         assert again.units_per_line == 32
+
+    def test_loads_a_config_saved_with_the_deleted_pump_settings(self):
+        """The default config as saved while ``PCMPower`` still had
+        ``gcp_enabled``, ``pump_voltage_v`` and ``pump_current_ma``."""
+        text = (FIXTURES / "config_with_pump_settings.json").read_text()
+        assert "pump_voltage_v" in text
+        assert SystemConfig.from_json(text) == default_config()
 
     def test_json_is_sorted_and_readable(self):
         text = default_config().to_json()
