@@ -13,7 +13,7 @@ Three contracts from ISSUE 4, in one bench:
 Since ISSUE 7 the pool is the supervised one (docs/RESILIENCE.md), so
 the bench also pins the zero-fault contract: a clean sweep takes zero
 retries/timeouts/worker-deaths/serial-fallbacks, and journaling every
-cell for --resume stays in the same wall-clock class as running bare.
+cell for a resume stays in the same wall-clock class as running bare.
 """
 
 from __future__ import annotations

@@ -191,19 +191,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.config import CPUConfig, MemCtrlConfig, PCMOrganization, default_config
     from repro.experiments.runner import BASELINE_SCHEME
-    from repro.parallel import RetryPolicy, SweepEngine, default_cache_dir
+    from repro.parallel import RetryPolicy, SweepEngine
 
-    journal_path = None
-    if args.journal:
-        journal_path = Path(args.journal)
-    elif args.resume:
-        journal_path = (
-            Path(args.cache_dir or default_cache_dir()) / "sweep-journal.jsonl"
-        )
     retry = RetryPolicy()
     if args.max_retries is not None:
         retry = RetryPolicy(max_retries=max(0, args.max_retries))
@@ -229,14 +221,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=False if args.no_cache else None,
         cache_dir=args.cache_dir or None,
-        journal=journal_path,
         retry=retry,
         cell_deadline_s=args.cell_deadline,
         fastpath=args.fastpath,
         certificate_path=args.certificate or None,
         **fastpath_kwargs,
     )
-    sweep = engine.run(schemes, tuple(args.workloads), resume=args.resume)
+    sweep = engine.run(schemes, tuple(args.workloads))
     base = {
         o.cell.workload: o.row
         for o in sweep.outcomes
@@ -257,10 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             ratios = ["n/a"] * 4
         rows.append(
-            [
-                r.workload, r.scheme, *ratios,
-                "hit" if o.cached else ("resumed" if o.resumed else "ran"),
-            ]
+            [r.workload, r.scheme, *ratios, "hit" if o.cached else "ran"]
         )
     print(
         format_table(
@@ -273,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     hit_pct = 100.0 * s.cache_hits / s.cells if s.cells else 0.0
     print(
         f"{s.cells} cells: {s.executed} executed, {s.cache_hits} cached "
-        f"({hit_pct:.0f}% hits), {s.resumed} resumed, {s.errors} errors, "
+        f"({hit_pct:.0f}% hits), {s.errors} errors, "
         f"{s.workers} workers, {s.wall_s:.2f}s"
     )
     print(
@@ -302,60 +290,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}")
     return 1 if sweep.errors else 0
-
-
-def _cmd_journal(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.parallel import SweepJournal, default_cache_dir
-    from repro.parallel.resultcache import code_salt
-
-    path = Path(args.journal) if args.journal else (
-        Path(args.cache_dir or default_cache_dir()) / "sweep-journal.jsonl"
-    )
-    journal = SweepJournal(path)
-    if args.action == "compact":
-        keep = {code_salt()} if args.prune_stale else None
-        dropped = journal.compact(keep_salts=keep)
-        print(
-            f"compacted {path}: dropped {dropped} line(s) "
-            f"({len(journal)} records kept"
-            + (", stale-salt records pruned)" if args.prune_stale else ")")
-        )
-        return 0
-    st = journal.stats()
-    current = code_salt()
-    salt_rows = [
-        [f"salt[{i}]", s + (" (current code)" if s == current else " (STALE)")]
-        for i, s in enumerate(st["salts"])
-    ]
-    print(
-        format_table(
-            ["stat", "value"],
-            [
-                ["journal", st["path"]],
-                ["records", st["records"]],
-                ["lines", st["lines"]],
-                ["corrupt lines", st["corrupt_lines"]],
-                ["duplicate lines", st["duplicate_lines"]],
-                ["bytes", st["bytes"]],
-                *salt_rows,
-            ],
-            title="Sweep journal report",
-        )
-    )
-    if st["corrupt_lines"] or st["duplicate_lines"]:
-        print(
-            f"hint: `tetris-write journal compact` drops the "
-            f"{st['corrupt_lines']} corrupt + {st['duplicate_lines']} "
-            f"duplicate line(s) atomically"
-        )
-    if any(s != current for s in st["salts"]):
-        print(
-            "hint: journal holds records from other code versions; "
-            "`tetris-write journal compact --prune-stale` removes them"
-        )
-    return 0
 
 
 def _grid_from_args(args: argparse.Namespace) -> dict:
@@ -727,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subarrays per bank (read-under-write bypass)")
     p.add_argument("--mlp", type=int, default=1,
                    help="outstanding reads per core (O3-like window)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="process-pool size (results identical to serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="skip the on-disk result cache (or set REPRO_NO_CACHE)")
@@ -736,12 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "~/.cache/tetris-write/results)")
     p.add_argument("--json", default="",
                    help="also write rows + stats as JSON here")
-    p.add_argument("--journal", default="",
-                   help="checkpoint completed cells to this JSONL journal "
-                        "(default with --resume: <cache-root>/sweep-journal.jsonl)")
-    p.add_argument("--resume", action="store_true",
-                   help="replay journaled cells instead of re-executing them "
-                        "(docs/RESILIENCE.md)")
     p.add_argument("--max-retries", type=int, default=None,
                    help="per-cell retry budget beyond the first attempt")
     p.add_argument("--cell-deadline", type=float, default=None,
@@ -760,21 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the per-run lane certificate here "
                         "('' disables; docs/ORACLE.md)")
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser(
-        "journal", help="sweep-journal maintenance (docs/RESILIENCE.md)"
-    )
-    p.add_argument("action", choices=["stats", "compact"],
-                   help="stats: rows / torn lines / code salts; compact: "
-                        "atomically drop corrupt + duplicate lines")
-    p.add_argument("--journal", default="",
-                   help="journal path (default: <cache-root>/sweep-journal.jsonl)")
-    p.add_argument("--cache-dir", default="",
-                   help="cache root used for the default journal path")
-    p.add_argument("--prune-stale", action="store_true",
-                   help="with compact: also drop records journaled under "
-                        "other code versions (StaleJournalError remedy)")
-    p.set_defaults(fn=_cmd_journal)
 
     def service_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--endpoint", default="",
@@ -798,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="job journal and default cache location")
     p.add_argument("--cache-dir", default="",
                    help="shared result-cache root (default: <state-dir>/cache)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="supervised worker processes for cell execution")
     p.add_argument("--max-queued", type=int, default=512,
                    help="admission limit: queued cells per tenant")
@@ -823,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", nargs="+", default=list(COMPARED_SCHEMES))
     p.add_argument("--watch", action="store_true",
                    help="stream progress until the job finishes")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="workers for degraded in-process execution")
     p.add_argument("--cache-dir", default="",
                    help="cache root for degraded in-process execution")

@@ -71,8 +71,6 @@ def run_schemes_on_workloads(
     workers: int = 1,
     cache: object | None = None,
     cache_dir: str | Path | None = None,
-    journal: str | Path | None = None,
-    resume: bool = False,
 ) -> list[ExperimentResult]:
     """Run the full grid; returns one row per (workload, scheme).
 
@@ -80,11 +78,8 @@ def run_schemes_on_workloads(
     bit-identical to serial); ``cache`` follows
     :class:`~repro.parallel.SweepEngine` semantics (``None`` = on unless
     ``REPRO_NO_CACHE``, ``False`` = off, or a
-    :class:`~repro.parallel.ResultCache` instance).  ``journal`` points
-    at a :class:`~repro.parallel.SweepJournal` checkpoint file and
-    ``resume=True`` replays cells it already records
-    (``docs/RESILIENCE.md``).  Cell failures raise, matching the
-    historical serial-loop behavior.
+    :class:`~repro.parallel.ResultCache` instance).  Cell failures raise,
+    matching the historical serial-loop behavior.
     """
     from repro.parallel.engine import SweepEngine
 
@@ -96,15 +91,8 @@ def run_schemes_on_workloads(
         cache=cache,
         cache_dir=cache_dir,
         traces=traces,
-        journal=journal,
     )
-    sweep = engine.run(tuple(schemes), tuple(workloads), resume=resume)
+    sweep = engine.run(tuple(schemes), tuple(workloads))
     sweep.raise_errors()
     return sweep.rows
 
-
-def results_by(
-    results: list[ExperimentResult],
-) -> dict[tuple[str, str], ExperimentResult]:
-    """Index results by (workload, scheme)."""
-    return {(r.workload, r.scheme): r for r in results}

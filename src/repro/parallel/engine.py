@@ -23,10 +23,12 @@ embarrassingly parallel, and :class:`SweepEngine` exploits it:
 * **Result caching** — cells are content-addressed in the on-disk
   :class:`~repro.parallel.resultcache.ResultCache`; hits skip trace
   generation and the DES entirely.
-* **Checkpoint / resume** — with a :class:`~repro.parallel.journal.
-  SweepJournal` attached, every completed cell is durably journaled;
-  ``run(resume=True)`` replays journaled cells without re-executing
-  them, so a crashed sweep continues where it died.
+* **Resume** — every finished cell is an atomic, digest-checked cache
+  entry, so re-running a crashed sweep on the same cache re-executes
+  only the cells that had not finished.  An attached
+  :class:`~repro.parallel.journal.SweepJournal` is a checkpoint that
+  works without the cache: ``run(resume=True)`` replays journaled cells
+  without re-executing them.
 * **Structured failure capture** — a crashed cell becomes a
   :class:`CellError` row carrying the traceback plus its ``attempts``
   and ``last_signal``; the rest of the grid completes.  Legacy callers
@@ -536,6 +538,9 @@ def cell_meta(cell: SweepCell, lane: str, salt: str) -> dict:
 class SweepEngine:
     """Run (scheme x workload x seed x variant) grids, parallel + cached.
 
+    Re-running a grid against the same cache re-executes only the cells
+    it does not hold yet, which is how a crashed sweep resumes.
+
     Parameters
     ----------
     config:
@@ -565,9 +570,9 @@ class SweepEngine:
         workloads skip synthetic generation and are content-fingerprinted
         for cache keying.
     journal:
-        Optional sweep checkpoint: a :class:`SweepJournal`, or a path to
-        create one at.  Every completed cell is durably appended;
-        ``run(resume=True)`` replays journaled cells without
+        Optional cache-independent checkpoint: a :class:`SweepJournal`,
+        or a path to create one at.  Every completed cell is durably
+        appended; ``run(resume=True)`` replays journaled cells without
         re-executing them.
     retry:
         :class:`RetryPolicy` for the worker supervisor (defaults shared
@@ -846,10 +851,10 @@ class SweepEngine:
             # every lookup would miss and the "resume" would silently
             # re-execute the whole grid.  Fail loudly instead.
             raise StaleJournalError(
-                f"stale journal (code changed); re-run without --resume "
-                f"or compact: {self.journal.path} was written under code "
-                f"salt(s) {sorted(self.journal.salts)} but the current "
-                f"sources hash to {self._salt()}"
+                f"stale journal (code changed); start a fresh journal: "
+                f"{self.journal.path} was written under code salt(s) "
+                f"{sorted(self.journal.salts)} but the current sources "
+                f"hash to {self._salt()}"
             )
 
         counts: dict[str, int] = {}

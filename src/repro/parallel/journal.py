@@ -15,9 +15,6 @@ Durability discipline:
 * **Truncation tolerance** — :meth:`load` parses line by line; a torn
   or corrupt line (the expected crash artifact) is counted in
   :attr:`corrupt_lines` and skipped, never raised.
-* **Atomic compaction** — :meth:`compact` rewrites only the valid
-  records through a temp file + ``os.replace`` (one atomic segment
-  swap), dropping torn tails and duplicate keys.
 
 Keys are content addresses: :func:`journal_cell_key` hashes the cell's
 canonical config JSON, trace key, scheme, and the code-version salt, so
@@ -30,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 __all__ = [
@@ -49,7 +45,7 @@ class StaleJournalError(RuntimeError):
     Journal keys embed the code-version salt, so after any simulator
     source change *every* lookup misses — silently re-executing the
     whole grid while claiming to resume.  Raising makes the staleness
-    explicit; the caller chooses between a fresh run and compaction.
+    explicit; the remedy is to start a fresh journal.
     """
 
 
@@ -83,11 +79,8 @@ class SweepJournal:
         self.path = Path(path)
         self.fsync = bool(fsync)
         self.corrupt_lines = 0
-        self.appended = 0
         self.skipped_duplicates = 0
         self._seen: set[str] = set()
-        #: per-key meta of the last :meth:`load` (preserved by compact)
-        self.meta: dict[str, dict] = {}
         #: code salts stamped in loaded/appended record meta — the
         #: resume path uses these to tell "different grid" apart from
         #: "journal written by different sources" (StaleJournalError)
@@ -127,10 +120,7 @@ class SweepJournal:
             rows[record["key"]] = record["row"]
             meta = record.get("meta")
             if isinstance(meta, dict):
-                self.meta[record["key"]] = meta
-                salt = meta.get("salt")
-                if isinstance(salt, str) and salt:
-                    self.salts.add(salt)
+                self._note_salt(meta)
         self._seen.update(rows)
         return rows
 
@@ -166,112 +156,14 @@ class SweepJournal:
         except OSError:
             return False
         self._seen.add(key)
-        self.appended += 1
         if meta:
-            self.meta[key] = dict(meta)
-            salt = meta.get("salt")
-            if isinstance(salt, str) and salt:
-                self.salts.add(salt)
+            self._note_salt(meta)
         return True
 
-    # ------------------------------------------------------------------
-    def compact(self, *, keep_salts: set[str] | None = None) -> int:
-        """Atomically rewrite the journal keeping only valid records.
-
-        Returns the number of lines dropped (corrupt tails, duplicate
-        keys).  The rewrite lands via ``os.replace`` so a crash during
-        compaction leaves either the old or the new segment, never a
-        torn one.
-
-        ``keep_salts`` additionally prunes records stamped with a code
-        salt outside the given set — records a resume under the current
-        sources could never match (the ``StaleJournalError`` remedy).
-        Unstamped records (pre-salt journals) are always kept.
-        """
-        rows = self.load()
-        if not self.path.exists():
-            return 0
-        if keep_salts is not None:
-            rows = {
-                key: row
-                for key, row in rows.items()
-                if self.meta.get(key, {}).get("salt") in keep_salts
-                or not self.meta.get(key, {}).get("salt")
-            }
-        raw_lines = [
-            ln
-            for ln in self.path.read_text(encoding="utf-8").splitlines()
-            if ln.strip()
-        ]
-        dropped = len(raw_lines) - len(rows)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=".journal-", suffix=".jsonl"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for key, row in rows.items():
-                    fh.write(
-                        json.dumps(
-                            {"v": JOURNAL_FORMAT_VERSION, "key": key,
-                             "meta": self.meta.get(key, {}), "row": row},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass  # best-effort cleanup of the temp segment
-            return 0
-        self.corrupt_lines = 0
-        # Rebuild the in-memory indexes to mirror the rewritten file, so
-        # a pruned key can be re-appended in this same process.
-        self._seen = set(rows)
-        self.meta = {k: v for k, v in self.meta.items() if k in rows}
-        self.salts = {
-            s
-            for m in self.meta.values()
-            if isinstance(s := m.get("salt"), str) and s
-        }
-        return max(0, dropped)
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """One maintenance snapshot for ``tetris-write journal stats``.
-
-        Calls :meth:`load` so the numbers reflect the on-disk file, not
-        just what this process appended.
-        """
-        rows = self.load()
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
-        raw_lines = 0
-        try:
-            raw_lines = sum(
-                1
-                for ln in self.path.read_text(encoding="utf-8").splitlines()
-                if ln.strip()
-            )
-        except OSError:
-            pass
-        return {
-            "path": str(self.path),
-            "records": len(rows),
-            "lines": raw_lines,
-            "corrupt_lines": self.corrupt_lines,
-            "duplicate_lines": max(
-                0, raw_lines - self.corrupt_lines - len(rows)
-            ),
-            "bytes": size,
-            "salts": sorted(self.salts),
-        }
+    def _note_salt(self, meta: dict) -> None:
+        salt = meta.get("salt")
+        if isinstance(salt, str) and salt:
+            self.salts.add(salt)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

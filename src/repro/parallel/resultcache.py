@@ -19,8 +19,9 @@ invocation without touching the DES.  The key design points:
   processes sharing one store can never observe a torn entry.
   ``fsync=True`` also makes each put durable: the temp file is fsync'd
   before the rename and the entry's directory after it (the sweep
-  service's setting; sweeps keep plain puts, their journal carries
-  resume).
+  service's setting).  Sweeps keep plain puts: a re-run after a crash
+  finds every cell that finished, because a put either renamed a whole
+  entry into place or left nothing.
 * **Opt-outs** — ``REPRO_NO_CACHE`` (any non-empty value) disables the
   cache globally; ``REPRO_CACHE_DIR`` moves the store; callers can pass
   an explicit directory or ``cache=False``.

@@ -62,9 +62,6 @@ class AddressMap:
         """Flat index over ranks x banks (= ``rank * banks + bank``)."""
         return line % (self.num_banks * self.num_ranks)
 
-    def row_of_line(self, line: int) -> int:
-        return line // (self.num_banks * self.num_ranks * self.lines_per_row)
-
 
 class PCMDevice:
     """All banks of the device, sharing one scheme *type* (one each).

@@ -43,6 +43,29 @@ class TestParser:
         assert exc.value.code == 2
         assert "--requests: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workers", "0"],
+        ["serve", "--workers", "0"],
+        ["submit", "--workers", "-2"],
+    ], ids=lambda argv: argv[0])
+    def test_rejects_nonpositive_workers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--workers: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["journal", "stats"],
+        ["sweep", "--resume"],
+        ["sweep", "--journal", "sweep.jsonl"],
+    ], ids=["journal-verb", "resume", "journal-flag"])
+    def test_removed_journal_invocations_are_usage_errors(self, argv, capsys):
+        """A re-run on the same cache is the one resume path."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_parser_leaves_the_experiment_table_unimported(self):
         """``serve`` start-up pays for the CLI import and parser, never
         for the experiment table ``report`` loads on demand."""
@@ -249,8 +272,8 @@ class TestServiceCommands:
 
 
 class TestSweepCommand:
-    """``sweep`` end to end: warm re-run, forced fastpath, journal
-    resume, and a failed baseline cell.
+    """``sweep`` end to end: warm re-run, forced fastpath, resume from
+    the cache, and a failed baseline cell.
 
     Each test checks the ``--json`` documents the CLI writes.  The
     working directory is ``tmp_path``, so the default certificate
@@ -307,24 +330,40 @@ class TestSweepCommand:
             assert f_row["events"] == 0, "fastpath row claims DES events"
             assert not compare_rows(f_row, d_row)
 
-    def test_journaled_sweep_resumes_with_zero_reexecution(
-        self, tmp_path, monkeypatch
+    def test_rerun_on_the_same_cache_executes_only_unfinished_cells(
+        self, tmp_path, monkeypatch, capsys
     ):
+        """A sweep that stopped after dedup, re-run for dedup and vips,
+        executes only the vips cells and reproduces an uninterrupted
+        uncached run byte for byte."""
         monkeypatch.chdir(tmp_path)
-        argv = ["--schemes", "tetris", "dcw",
-                "--workloads", "dedup", "vips", "--requests", "400",
-                "--workers", "2", "--no-cache",
-                "--journal", str(tmp_path / "chaos.jsonl")]
-        code_first, first = self._sweep(argv, tmp_path / "first.json")
-        code_resumed, resumed = self._sweep(
-            [*argv, "--resume"], tmp_path / "resumed.json"
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        grid = ["--schemes", "tetris", "dcw", "--requests", "400",
+                "--cache-dir", str(tmp_path / "cache")]
+        code_first, _ = self._sweep(
+            [*grid, "--workloads", "dedup"], tmp_path / "first.json"
         )
-        assert code_first == code_resumed == 0
-        assert not first["errors"] and not resumed["errors"]
-        stats = resumed["stats"]
-        assert stats["executed"] == 0, "resume re-executed journaled cells"
-        assert stats["resumed"] == stats["cells"]
-        assert resumed["rows"] == first["rows"]
+        capsys.readouterr()
+        code_rerun, rerun = self._sweep(
+            [*grid, "--workloads", "dedup", "vips"], tmp_path / "rerun.json"
+        )
+        labels = {
+            tuple(line.split()[:2]): line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["dedup"], ["vips"])
+        }
+        code_clean, clean = self._sweep(
+            [*grid, "--workloads", "dedup", "vips", "--no-cache"],
+            tmp_path / "clean.json",
+        )
+        assert code_first == code_rerun == code_clean == 0
+        assert not rerun["errors"] and not clean["errors"]
+        assert labels == {
+            ("dedup", "dcw"): "hit", ("dedup", "tetris"): "hit",
+            ("vips", "dcw"): "ran", ("vips", "tetris"): "ran",
+        }
+        assert rerun["stats"]["executed"] == 2, "re-run executed finished cells"
+        assert json.dumps(rerun["rows"]) == json.dumps(clean["rows"])
 
     def test_config_flags_reach_every_cell(self, tmp_path):
         """``--pausing`` runs the grid under the paused controller: rows

@@ -1,14 +1,10 @@
-"""Journal maintenance: CLI stats/compact, torn lines, and stale salts.
+"""Sweep-journal code salts: stale-journal detection on resume.
 
-Satellites (a) and (b) of ISSUE 8:
-
-* ``tetris-write journal stats|compact`` reports and repairs a journal
-  whose final line was torn by a crash;
 * ``SweepEngine.run(resume=True)`` against a journal written by a
   different code version fails fast with a "stale journal" error
   instead of silently re-executing everything;
-* ``journal compact --prune-stale`` removes the stale-salt records so
-  the journal is usable again.
+* a journal that also holds current-salt records still resumes;
+* the salt stamped in each record's meta survives a reload.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ import json
 
 import pytest
 
-from repro.cli import main
 from repro.parallel import StaleJournalError, SweepEngine, SweepJournal
 from repro.parallel.resultcache import code_salt
 
@@ -32,49 +27,6 @@ def build_journal(path) -> SweepJournal:
     )
     eng.run(SCHEMES, WORKLOADS).raise_errors()
     return SweepJournal(path)
-
-
-def tear_last_line(path) -> None:
-    text = path.read_text()
-    lines = text.splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
-
-
-# ----------------------------------------------------------------------
-# stats + compact on a torn journal.
-# ----------------------------------------------------------------------
-def test_journal_stats_reports_a_torn_final_line(tmp_path, capsys):
-    path = tmp_path / "j.jsonl"
-    build_journal(path)
-    tear_last_line(path)
-
-    assert main(["journal", "stats", "--journal", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "corrupt lines" in out
-    assert "journal compact" in out  # repair hint
-    assert code_salt()[:8] in out    # the record salt is surfaced
-
-
-def test_journal_compact_repairs_a_torn_final_line(tmp_path, capsys):
-    path = tmp_path / "j.jsonl"
-    n_records = len(build_journal(path).load())
-    tear_last_line(path)
-    assert SweepJournal(path).corrupt_lines or len(SweepJournal(path).load()) < n_records
-
-    assert main(["journal", "compact", "--journal", str(path)]) == 0
-    assert "compacted" in capsys.readouterr().out
-    repaired = SweepJournal(path)
-    rows = repaired.load()
-    assert repaired.corrupt_lines == 0
-    assert len(rows) == n_records - 1  # the torn record is gone, rest intact
-
-    # The compacted journal still resumes: only the torn cell re-runs.
-    res = SweepEngine(
-        requests_per_core=REQUESTS, workers=1, cache=False, journal=path
-    ).run(SCHEMES, WORKLOADS, resume=True)
-    res.raise_errors()
-    assert res.stats.resumed == n_records - 1
-    assert res.stats.executed == 1
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +46,7 @@ def test_resume_with_stale_journal_fails_with_actionable_error(tmp_path):
     )
     with pytest.raises(
         StaleJournalError,
-        match=r"stale journal \(code changed\); re-run without --resume "
-        r"or compact",
+        match=r"stale journal \(code changed\); start a fresh journal",
     ) as excinfo:
         eng.run(SCHEMES, WORKLOADS, resume=True)
     assert "f" * 16 in str(excinfo.value)      # what the journal holds
@@ -117,62 +68,6 @@ def test_resume_tolerates_stale_records_when_current_ones_match(tmp_path):
     assert res.stats.executed == 0
 
 
-def test_journal_stats_flags_stale_salts(tmp_path, capsys):
-    path = tmp_path / "mixed.jsonl"
-    build_journal(path)
-    SweepJournal(path).append(
-        "leftover-old-key", {"scheme": "dcw"}, meta={"salt": "f" * 16}
-    )
-
-    assert main(["journal", "stats", "--journal", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "(STALE)" in out
-    assert "(current code)" in out
-    assert "--prune-stale" in out  # remediation hint
-
-
-def test_journal_compact_prune_stale_restores_resumability(tmp_path, capsys):
-    path = tmp_path / "mixed.jsonl"
-    n_records = len(build_journal(path).load())
-    SweepJournal(path).append(
-        "leftover-old-key", {"scheme": "dcw"}, meta={"salt": "f" * 16}
-    )
-
-    assert main(
-        ["journal", "compact", "--journal", str(path), "--prune-stale"]
-    ) == 0
-    assert "pruned" in capsys.readouterr().out
-    repaired = SweepJournal(path)
-    rows = repaired.load()
-    assert len(rows) == n_records
-    assert "leftover-old-key" not in rows
-    assert repaired.salts == {code_salt()}
-
-    # The advertised remedy works: resume is clean after pruning.
-    res = SweepEngine(
-        requests_per_core=REQUESTS, workers=1, cache=False, journal=path
-    ).run(SCHEMES, WORKLOADS, resume=True)
-    res.raise_errors()
-    assert res.stats.resumed == n_records
-    assert res.stats.executed == 0
-
-
-def test_journal_compact_keeps_unstamped_records(tmp_path):
-    # Records journaled before salt stamping existed (or by hand) must
-    # survive --prune-stale: only records *known* to be from another
-    # code version are dropped.
-    path = tmp_path / "legacy.jsonl"
-    journal = SweepJournal(path)
-    journal.append("legacy-key", {"scheme": "dcw"})
-    journal.append("old-key", {"scheme": "dcw"}, meta={"salt": "f" * 16})
-    journal.append("new-key", {"scheme": "dcw"}, meta={"salt": code_salt()})
-
-    dropped = SweepJournal(path).compact(keep_salts={code_salt()})
-    assert dropped == 1
-    rows = SweepJournal(path).load()
-    assert set(rows) == {"legacy-key", "new-key"}
-
-
 def test_journal_roundtrip_preserves_meta_and_salts(tmp_path):
     path = tmp_path / "meta.jsonl"
     journal = SweepJournal(path)
@@ -182,12 +77,6 @@ def test_journal_roundtrip_preserves_meta_and_salts(tmp_path):
     reloaded = SweepJournal(path)
     reloaded.load()
     assert reloaded.salts == {"aaaa", "bbbb"}
-    assert reloaded.meta["k1"]["scheme"] == "dcw"
-
-    # compact() preserves the stamps (they survive as-written).
-    reloaded.compact()
-    again = SweepJournal(path)
-    again.load()
-    assert again.salts == {"aaaa", "bbbb"}
-    raw = [json.loads(line) for line in path.read_text().splitlines()]
-    assert all("meta" in rec for rec in raw)
+    raw = {rec["key"]: rec for rec in map(json.loads, path.read_text().splitlines())}
+    assert raw["k1"]["meta"] == {"salt": "aaaa", "scheme": "dcw"}
+    assert all("meta" in rec for rec in raw.values())

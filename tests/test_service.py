@@ -12,8 +12,8 @@ The load-bearing guarantees (ISSUE 8):
   affecting other tenants;
 * ``drain`` finishes in-flight jobs and answers new submits with a
   structured ``draining`` + ``retry_after_s`` rejection;
-* a server killed mid-job resumes from its journals re-executing zero
-  completed cells.
+* a server killed mid-job resumes from its job store and the result
+  cache, re-executing zero completed cells.
 """
 
 from __future__ import annotations
@@ -558,12 +558,12 @@ def test_drain_finishes_inflight_and_rejects_new_submits(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Crash resume: zero re-execution of journaled cells.
+# Crash resume: zero re-execution of cached cells.
 # ----------------------------------------------------------------------
 def test_restart_resumes_finished_job_with_zero_reexecution(tmp_path):
     async def crash_run():
         # A server that dies before the fire-and-forget "done" marker
-        # lands: the job journal says pending, the cell journal has all
+        # lands: the job store says pending, the result cache holds all
         # completions.
         svc = await make_service(tmp_path)
         svc.store.record_done = lambda job_id: None
@@ -635,8 +635,8 @@ def test_restart_resumes_partial_job_executing_only_missing_cells(tmp_path):
     svc2, jobs = asyncio.run(resume())
     full_job = jobs[job_id]
     assert full_job.state == "done"
-    # Only the two tetris cells were missing; the two dcw cells resumed
-    # from the journal without re-execution.
+    # Only the two tetris cells were missing; the two dcw cells were
+    # served from the result cache without re-execution.
     counters = svc2.scheduler.counter_values()
     assert counters["cells_executed"] == 2
     assert full_job.cached_cells == 2

@@ -358,7 +358,7 @@ def test_resume_tolerates_a_truncated_last_line(tmp_path):
 # ----------------------------------------------------------------------
 # Journal mechanics.
 # ----------------------------------------------------------------------
-def test_journal_roundtrip_dedup_and_compact(tmp_path):
+def test_journal_roundtrip_dedup_and_torn_lines(tmp_path):
     journal = SweepJournal(tmp_path / "j.jsonl", fsync=False)
     assert journal.append("k1", {"a": 1})
     assert journal.append("k2", {"b": 2}, meta={"scheme": "tetris"})
@@ -373,11 +373,6 @@ def test_journal_roundtrip_dedup_and_compact(tmp_path):
     rows = fresh.load()
     assert rows == {"k1": {"a": 1}, "k2": {"b": 2}}
     assert fresh.corrupt_lines == 2
-
-    dropped = fresh.compact()
-    assert dropped == 2
-    assert SweepJournal(journal.path).load() == rows
-    assert SweepJournal(journal.path).corrupt_lines == 0
 
 
 def test_journal_load_on_missing_file_is_empty(tmp_path):
