@@ -13,21 +13,18 @@ Each sweep answers one "what actually buys the win?" question:
   Flip-N-Write's?), exclusive unit slots (shared select line), chip-level
   scheduling without GCP.
 
-Every list sweep accepts ``workers``: points are independent, so they
-fan out over :func:`repro.parallel.parallel_map` (ordered, fail-fast);
-``workers=1`` is a plain loop with identical results.
+Every point is one vectorized :func:`~repro.core.batch.pack_batch` call
+over the whole trace (a few milliseconds), so each sweep is a plain loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.config import SystemConfig, default_config
 from repro.core.batch import pack_batch
-from repro.parallel.engine import parallel_map
 from repro.trace.record import Trace
 
 __all__ = [
@@ -70,41 +67,22 @@ def _mean_units(
     )
 
 
-# Per-point workers for parallel_map: top-level (picklable) functions
-# taking the swept value last so sweeps can ``partial`` the fixed args.
-def _budget_point(trace: Trace, K: int, L: float, budget: float) -> AblationPoint:
-    u, r, s = _mean_units(trace, K=K, L=L, budget=budget, allow_split=True)
-    return AblationPoint("power_budget", budget, u, r, s)
-
-
-def _K_point(trace: Trace, L: float, budget: float, K: int) -> AblationPoint:
-    u, r, s = _mean_units(trace, K=K, L=L, budget=budget)
-    return AblationPoint("K", float(K), u, r, s)
-
-
-def _L_point(trace: Trace, K: int, budget: float, L: float) -> AblationPoint:
-    u, r, s = _mean_units(trace, K=K, L=L, budget=budget)
-    return AblationPoint("L", L, u, r, s)
-
-
-def _width_point(trace: Trace, width: int) -> AblationPoint:
-    budget = 128.0 * width / 16.0
-    u, r, s = _mean_units(trace, K=8, L=2.0, budget=budget, allow_split=True)
-    return AblationPoint("write_unit_bits", float(width), u, r, s)
-
-
 def sweep_power_budget(
     trace: Trace,
     budgets: tuple[float, ...] = (32.0, 48.0, 64.0, 96.0, 128.0, 192.0, 256.0),
     *,
     config: SystemConfig | None = None,
-    workers: int = 1,
 ) -> list[AblationPoint]:
     """Tetris units vs. available instantaneous current per bank."""
     cfg = config if config is not None else default_config()
-    return parallel_map(
-        partial(_budget_point, trace, cfg.K, cfg.L), budgets, workers=workers
-    )
+    return [
+        AblationPoint(
+            "power_budget",
+            budget,
+            *_mean_units(trace, K=cfg.K, L=cfg.L, budget=budget, allow_split=True),
+        )
+        for budget in budgets
+    ]
 
 
 def sweep_time_asymmetry(
@@ -112,13 +90,17 @@ def sweep_time_asymmetry(
     Ks: tuple[int, ...] = (1, 2, 4, 8, 16),
     *,
     config: SystemConfig | None = None,
-    workers: int = 1,
 ) -> list[AblationPoint]:
     """Tetris units vs. the Tset/Treset ratio."""
     cfg = config if config is not None else default_config()
-    return parallel_map(
-        partial(_K_point, trace, cfg.L, cfg.bank_power_budget), Ks, workers=workers
-    )
+    return [
+        AblationPoint(
+            "K",
+            float(K),
+            *_mean_units(trace, K=K, L=cfg.L, budget=cfg.bank_power_budget),
+        )
+        for K in Ks
+    ]
 
 
 def sweep_power_asymmetry(
@@ -126,20 +108,20 @@ def sweep_power_asymmetry(
     Ls: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0),
     *,
     config: SystemConfig | None = None,
-    workers: int = 1,
 ) -> list[AblationPoint]:
     """Tetris units vs. the Creset/Cset ratio."""
     cfg = config if config is not None else default_config()
-    return parallel_map(
-        partial(_L_point, trace, cfg.K, cfg.bank_power_budget), Ls, workers=workers
-    )
+    return [
+        AblationPoint(
+            "L", L, *_mean_units(trace, K=cfg.K, L=L, budget=cfg.bank_power_budget)
+        )
+        for L in Ls
+    ]
 
 
 def sweep_write_unit_width(
     trace: Trace,
     widths: tuple[int, ...] = (2, 4, 8, 16),
-    *,
-    workers: int = 1,
 ) -> list[AblationPoint]:
     """The mobile division modes of §I: budget scales with the width.
 
@@ -147,7 +129,16 @@ def sweep_write_unit_width(
     per chip (128 per bank); narrower units scale the bank budget down
     proportionally.
     """
-    return parallel_map(partial(_width_point, trace), widths, workers=workers)
+    return [
+        AblationPoint(
+            "write_unit_bits",
+            float(width),
+            *_mean_units(
+                trace, K=8, L=2.0, budget=128.0 * width / 16.0, allow_split=True
+            ),
+        )
+        for width in widths
+    ]
 
 
 def sweep_no_flip(

@@ -12,13 +12,11 @@ separate in the paper's order.  The interesting outputs are the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.config import SystemConfig, default_config
 from repro.experiments.fullsystem import run_fullsystem
-from repro.parallel.engine import parallel_map
 from repro.trace.record import Trace
 from repro.trace.synthetic import generate_trace
 
@@ -63,7 +61,7 @@ def _intensity_point(
     cfg: SystemConfig,
     factor: float,
 ) -> CrossoverPoint:
-    """One intensity sample (top-level so ``parallel_map`` can pickle it)."""
+    """One intensity sample: every scheme and DCW on the scaled trace."""
     trace = scale_intensity(base_trace, factor)
     dcw = run_fullsystem(trace, "dcw", cfg)
     runtime_ratio = {}
@@ -91,20 +89,17 @@ def sweep_intensity(
     requests_per_core: int = 1500,
     seed: int = 20160816,
     config: SystemConfig | None = None,
-    workers: int = 1,
 ) -> list[CrossoverPoint]:
     """Run the intensity sweep; factor 1.0 is the workload's Table III rate.
 
-    Each factor is an independent DES grid, so ``workers`` fans the
-    points over a process pool with identical (ordered) output.
+    Points come back in ``factors`` order.
     """
     cfg = config if config is not None else default_config()
     base_trace = generate_trace(workload, requests_per_core, seed=seed)
-    return parallel_map(
-        partial(_intensity_point, base_trace, tuple(schemes), cfg),
-        factors,
-        workers=workers,
-    )
+    return [
+        _intensity_point(base_trace, tuple(schemes), cfg, factor)
+        for factor in factors
+    ]
 
 
 def find_knee(

@@ -12,11 +12,14 @@ Public surface:
   (``docs/RESILIENCE.md``).
 * :class:`~repro.parallel.journal.SweepJournal` — append-only fsync'd
   completion log enabling ``run(resume=True)`` after a crash.
-* :func:`~repro.parallel.engine.parallel_map` — ordered fail-fast
-  supervised map for the smaller analytical sweeps.
 * :class:`~repro.parallel.resultcache.ResultCache` — content-addressed
   on-disk store keyed by (config, trace, scheme, code-version salt),
   with per-entry digests and quarantine of corrupt entries.
+
+Work executes one way: :func:`~repro.parallel.engine.run_cells` runs a
+batch of planned cells on a supervisor — the sweep grid, its sampled
+fastpath recheck and the sweep service's batches alike.  The analytic
+ablation and crossover sweeps are plain loops.
 """
 
 from repro.parallel.engine import (
@@ -29,7 +32,6 @@ from repro.parallel.engine import (
     SweepStats,
     default_workers,
     derive_cell_seeds,
-    parallel_map,
 )
 from repro.parallel.journal import (
     StaleJournalError,
@@ -49,7 +51,6 @@ from repro.parallel.supervisor import (
     TaskFailure,
     TaskReport,
     WorkerSupervisor,
-    WorkerTaskError,
     retry_jitter,
 )
 
@@ -69,14 +70,12 @@ __all__ = [
     "TaskFailure",
     "TaskReport",
     "WorkerSupervisor",
-    "WorkerTaskError",
     "cache_disabled_by_env",
     "code_salt",
     "default_cache_dir",
     "default_workers",
     "derive_cell_seeds",
     "journal_cell_key",
-    "parallel_map",
     "retry_jitter",
     "row_digest",
 ]

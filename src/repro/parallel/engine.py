@@ -37,11 +37,8 @@ embarrassingly parallel, and :class:`SweepEngine` exploits it:
 :func:`run_cells` (supervised execution, deadlines, failure capture)
 and :func:`cell_meta` (the provenance stamped on every stored row) are
 the one implementation of running and storing cells; the sweep service
-(``repro.service``) executes its batches through them too.
-
-:func:`parallel_map` is the small sibling used by the ablation and
-crossover sweeps: an ordered, fail-fast supervised map that degrades to
-a plain loop at ``workers=1``.
+(``repro.service``) executes its batches through them too, and so does
+the fastpath's differential recheck, on the sweep's own worker pool.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ from repro.parallel.resultcache import (
     code_salt,
     default_cache_dir,
 )
-from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor, WorkerTaskError
+from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor
 from repro.trace.record import Trace
 from repro.trace.workloads import WORKLOAD_NAMES
 
@@ -97,7 +94,6 @@ __all__ = [
     "default_workers",
     "derive_cell_seeds",
     "execute_cell_payload",
-    "parallel_map",
     "run_cells",
 ]
 
@@ -858,6 +854,7 @@ class SweepEngine:
             )
 
         counts: dict[str, int] = {}
+        stores_before = self.cache.stats.stores if self.cache else 0
         with cell_supervisor(workers=self.workers, retry=self.retry) as pool:
             for pos, result in run_cells(
                 pending,
@@ -878,8 +875,10 @@ class SweepEngine:
                         meta=cell_meta(pc.cell, pc.lane, self._salt()),
                     )
                 self._journal_append(pc, row_dict)
-
-        recheck_records = self._recheck(planned, outcomes)
+            cache_stores = (
+                self.cache.stats.stores - stores_before if self.cache else 0
+            )
+            recheck_records = self._recheck(planned, outcomes, pool)
         certificate = self._certificate(planned, outcomes, recheck_records)
         if self.certificate_path:
             write_certificate(self.certificate_path, certificate)
@@ -888,8 +887,8 @@ class SweepEngine:
         stats = SweepStats(
             cells=len(planned),
             executed=len(pending),
-            cache_hits=self.cache.stats.hits if self.cache else 0,
-            cache_stores=self.cache.stats.stores if self.cache else 0,
+            cache_hits=sum(1 for o in ordered if o.cached),
+            cache_stores=cache_stores,
             resumed=resumed,
             errors=sum(1 for o in ordered if o.error is not None),
             workers=self.workers,
@@ -910,16 +909,22 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
     def _recheck(
-        self, planned: list[PlannedCell], outcomes: dict[int, CellOutcome]
+        self,
+        planned: list[PlannedCell],
+        outcomes: dict[int, CellOutcome],
+        pool: WorkerSupervisor,
     ) -> list[dict]:
         """Differentially re-run a seeded sample of fastpath cells on DES.
 
         Each sampled cell's analytic row is compared field-by-field
-        against a fresh (cache-first) DES execution of the identical
-        payload; any field outside :data:`FIELD_TOLERANCES` is recorded
-        as a divergence in the run certificate.  Re-runs do not count as
-        executed cells in :class:`SweepStats` — they are a validation
-        overlay, not part of the grid.
+        against the DES row of its twin (the identical payload on the
+        ``des`` lane): read from the cache first, otherwise executed
+        through :func:`run_cells` on the sweep's own ``pool``, under the
+        grid's deadline and retry policy.  Any field outside
+        :data:`FIELD_TOLERANCES` is recorded as a divergence in the run
+        certificate.  Re-runs do not count as executed cells in
+        :class:`SweepStats` — they are a validation overlay, not part of
+        the grid.
         """
         candidates = [
             pc.index
@@ -931,38 +936,48 @@ class SweepEngine:
         sample = select_recheck_indices(
             candidates, self.recheck_fraction, self.root_seed
         )
-        by_index = {pc.index: pc for pc in planned}
+        des_rows: dict[int, dict] = {}
+        misses: list[PlannedCell] = []
+        for i in sample:
+            pc = planned[i]
+            twin = dataclasses.replace(
+                pc,
+                payload=pc.payload[:-1] + ("des",),
+                cache_key=self._cache_key(pc.cell, pc.payload[6], "des"),
+                lane="des",
+            )
+            cached = self.cache.get(twin.cache_key) if twin.cache_key else None
+            if cached is not None:
+                des_rows[i] = cached
+            else:
+                misses.append(twin)
 
-        def des_runner(index: int) -> dict:
-            pc = by_index[index]
-            config_json = pc.payload[6]
-            des_key = self._cache_key(pc.cell, config_json, "des")
-            if des_key is not None:
-                cached = self.cache.get(des_key)
-                if cached is not None:
-                    return cached
-            _, result = execute_cell_payload(pc.payload[:-1] + ("des",))
+        for pos, result in run_cells(
+            misses, pool, cell_deadline_s=self.cell_deadline_s
+        ):
+            twin = misses[pos]
             if isinstance(result, CellError):
                 raise RuntimeError(
                     "differential recheck could not execute the DES lane "
-                    f"for cell {index} ({pc.cell.workload}/{pc.cell.scheme}):\n"
+                    f"for cell {twin.index} "
+                    f"({twin.cell.workload}/{twin.cell.scheme}):\n"
                     f"{result.format()}"
                 )
             row_dict = dataclasses.asdict(result)
-            if des_key is not None:
+            if twin.cache_key is not None:
                 self.cache.put(
-                    des_key,
+                    twin.cache_key,
                     row_dict,
-                    meta=cell_meta(pc.cell, "des", self._salt()),
+                    meta=cell_meta(twin.cell, "des", self._salt()),
                 )
-            return row_dict
+            des_rows[twin.index] = row_dict
 
         samples = [
             (i, dataclasses.asdict(outcomes[i].row)) for i in sample
         ]
-        records = recheck_rows(samples, des_runner)
+        records = recheck_rows(samples, des_rows.__getitem__)
         for rec in records:
-            cell = by_index[rec["index"]].cell
+            cell = planned[rec["index"]].cell
             rec["workload"] = cell.workload
             rec["scheme"] = cell.scheme
             rec["seed"] = cell.seed
@@ -1005,45 +1020,3 @@ class SweepEngine:
             cells=cert_cells,
             rechecks=recheck_records,
         )
-
-
-# ----------------------------------------------------------------------
-# Ordered fail-fast map for the ablation / crossover sweeps.
-# ----------------------------------------------------------------------
-def _map_task(payload: tuple):
-    """Supervised task for :func:`parallel_map`: ``(fn, item) -> fn(item)``."""
-    fn, item = payload
-    return fn(item)
-
-
-def parallel_map(fn, items, *, workers: int = 1) -> list:
-    """Map ``fn`` over ``items`` preserving order, optionally in a pool.
-
-    Unlike :class:`SweepEngine`, failures propagate immediately (the
-    ablation sweeps are small and their points are not independent
-    experiment artifacts worth salvaging): a task exception is re-raised
-    in the parent, and a worker death raises
-    :class:`~repro.parallel.supervisor.WorkerTaskError`.  ``fn`` and
-    every item must be picklable when ``workers > 1``.
-    """
-    items = list(items)
-    if not items:
-        return []
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    with WorkerSupervisor(
-        _map_task,
-        workers=min(workers, len(items)),
-        policy=RetryPolicy(max_retries=0),
-        name="map",
-    ) as supervisor:
-        for report in supervisor.run(
-            (i, (fn, item)) for i, item in enumerate(items)
-        ):
-            if report.failure is not None:
-                if isinstance(report.value, BaseException):
-                    raise report.value
-                raise WorkerTaskError(report.failure)
-            results[report.task_id] = report.value
-    return results

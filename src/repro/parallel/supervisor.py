@@ -70,7 +70,6 @@ __all__ = [
     "TaskFailure",
     "TaskReport",
     "WorkerSupervisor",
-    "WorkerTaskError",
     "retry_jitter",
 ]
 
@@ -138,16 +137,6 @@ class TaskReport:
     serial: bool = False                 # ran via the serial fallback
 
 
-class WorkerTaskError(RuntimeError):
-    """Raised by fail-fast callers for a task that died without a value."""
-
-    def __init__(self, failure: TaskFailure) -> None:
-        self.failure = failure
-        super().__init__(
-            f"{failure.error_type}: {failure.message}\n{failure.traceback_text}"
-        )
-
-
 # ----------------------------------------------------------------------
 # Worker process side.  Must stay top-level and import-light: workers
 # are forked (or spawned) with this module importable.
@@ -155,9 +144,8 @@ class WorkerTaskError(RuntimeError):
 def _worker_main(conn, task_fn) -> None:
     """Worker loop: receive a payload, run ``task_fn``, send the result.
 
-    A raising task is shipped back as a structured failure (plus the
-    exception object itself when picklable, so fail-fast callers can
-    re-raise the original).  ``None`` is the shutdown sentinel.
+    A raising task is shipped back as a structured failure (strings
+    only, so it always pickles).  ``None`` is the shutdown sentinel.
     """
     while True:
         try:
@@ -174,10 +162,7 @@ def _worker_main(conn, task_fn) -> None:
                 message=str(exc),
                 traceback_text=traceback.format_exc(),
             )
-            try:
-                conn.send(("err", failure, exc))
-            except Exception:
-                conn.send(("err", failure, None))
+            conn.send(("err", failure))
             continue
         try:
             conn.send(("ok", value))
@@ -189,7 +174,6 @@ def _worker_main(conn, task_fn) -> None:
                         error_type=type(exc).__name__,
                         message=f"task result not picklable: {exc}",
                     ),
-                    None,
                 )
             )
 
@@ -562,13 +546,11 @@ class WorkerSupervisor:
             return self._finish_value(
                 attempt, msg[1], ready, delayed, now, serial=False
             )
-        _, failure, exc = msg
         if self._schedule_retry(attempt, "exception", ready, delayed, now):
             return None
         return TaskReport(
             task_id=attempt.task_id,
-            failure=failure,
-            value=exc,
+            failure=msg[1],
             attempts=attempt.attempts,
             last_signal="exception",
         )
@@ -653,7 +635,6 @@ class WorkerSupervisor:
                         message=str(exc),
                         traceback_text=traceback.format_exc(),
                     ),
-                    value=exc,
                     attempts=attempt.attempts,
                     last_signal="exception",
                     serial=True,

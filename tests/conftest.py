@@ -27,8 +27,8 @@ def no_leaked_worker_processes():
     """Fail any test that leaves a worker process running.
 
     Supervised pools outlive a single run by design, so their owners
-    (``SweepEngine.run``, ``parallel_map``, ``SweepService.shutdown``)
-    must tear them down.  Leaked processes are killed before failing so
+    (``SweepEngine.run``, ``SweepService.shutdown``) must tear them
+    down.  Leaked processes are killed before failing so
     one leak cannot cascade into the next test.
     """
     yield

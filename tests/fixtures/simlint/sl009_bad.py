@@ -7,6 +7,8 @@ forked process; lambdas submitted as pool tasks break under spawn.
 import multiprocessing
 from functools import partial
 
+from repro.parallel.supervisor import WorkerSupervisor
+
 RESULTS = []  # mutable module state, consumed below
 _CACHE = {}   # ditto — per-process copies diverge silently
 
@@ -30,6 +32,10 @@ def run():
         out += pool.map(lambda v: v + 1, range(4))       # SL009: lambda task
         out += pool.map(partial(helper, y=1), range(4))
     return out
+
+
+def supervise():
+    return WorkerSupervisor(lambda p: p, workers=2)      # SL009: lambda task
 
 
 def spawn_proc():

@@ -3,13 +3,13 @@
 Workers are top-level (picklable under spawn), per-process memoization
 goes through ``functools.lru_cache`` on a pure function instead of a
 module-level dict, module-level state that workers read is immutable,
-and dispatch goes through the supervised ``parallel_map`` rather than a
-bare ``multiprocessing.Pool``.
+and dispatch goes through the supervised ``WorkerSupervisor`` rather
+than a bare ``multiprocessing.Pool``.
 """
 
 from functools import lru_cache, partial
 
-from repro.parallel.engine import parallel_map
+from repro.parallel.supervisor import WorkerSupervisor
 
 LIMIT = 8  # immutable module constant: safe to read from any process
 
@@ -30,9 +30,11 @@ def offset_worker(x, offset):
 
 
 def run():
-    a = parallel_map(worker, range(LIMIT), workers=2)
-    b = parallel_map(partial(offset_worker, offset=2), range(LIMIT), workers=2)
-    return a + b
+    with WorkerSupervisor(worker, workers=2) as a, WorkerSupervisor(
+        task_fn=partial(offset_worker, offset=2), workers=2
+    ) as b:
+        items = list(enumerate(range(LIMIT)))
+        return [r.value for r in a.run(items)] + [r.value for r in b.run(items)]
 
 
 def local_mutables_are_fine():

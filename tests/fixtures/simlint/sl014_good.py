@@ -1,11 +1,10 @@
 """Supervised parallelism SL014 endorses.
 
 All fan-out goes through the sanctioned layer: WorkerSupervisor (or the
-SweepEngine / parallel_map wrappers built on it), which supplies
+SweepEngine / run_cells wrappers built on it), which supplies
 deadlines, death detection, retry, quarantine, and serial fallback.
 """
 
-from repro.parallel.engine import parallel_map
 from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor
 
 
@@ -21,5 +20,8 @@ def sweep_supervised(payloads):
         return sorted((r.task_id, r.value) for r in reports)
 
 
-def map_supervised(items):
-    return parallel_map(run_cell, items, workers=2)
+def sweep_without_retries(payloads):
+    with WorkerSupervisor(
+        task_fn=run_cell, workers=2, policy=RetryPolicy(max_retries=0)
+    ) as supervisor:
+        return [r.value for r in supervisor.run(enumerate(payloads))]

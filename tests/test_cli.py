@@ -363,6 +363,7 @@ class TestSweepCommand:
             ("vips", "dcw"): "ran", ("vips", "tetris"): "ran",
         }
         assert rerun["stats"]["executed"] == 2, "re-run executed finished cells"
+        assert rerun["stats"]["cache_hits"] == 2
         assert json.dumps(rerun["rows"]) == json.dumps(clean["rows"])
 
     def test_config_flags_reach_every_cell(self, tmp_path):

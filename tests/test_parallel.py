@@ -25,7 +25,6 @@ from repro.parallel import (
     SweepEngine,
     cache_disabled_by_env,
     derive_cell_seeds,
-    parallel_map,
 )
 
 SCHEMES = ("dcw", "tetris")
@@ -76,6 +75,38 @@ def test_cache_warm_rerun_is_byte_identical_with_zero_des(tmp_path, serial_rows)
     assert warm.stats.cache_hits == len(warm.outcomes)
     assert all(o.cached for o in warm.outcomes)
     assert row_bytes(warm.rows) == row_bytes(serial_rows)
+
+
+def test_cache_counters_count_this_run_on_a_shared_cache_handle(tmp_path):
+    """``cache_hits``/``cache_stores`` describe one run's grid, not the
+    lifetime of the :class:`ResultCache` instance the runs share."""
+    cache = ResultCache(tmp_path / "store")
+    counters = []
+    for _ in range(3):
+        stats = SweepEngine(requests_per_core=200, cache=cache).run(
+            ("dcw", "tetris"), ("dedup",)
+        ).stats
+        counters.append((stats.cache_hits, stats.cache_stores, stats.executed))
+    assert counters == [(0, 2, 2), (2, 0, 0), (2, 0, 0)]
+
+
+def test_cache_counters_leave_out_the_recheck_lane(tmp_path):
+    """The recheck's DES lookups and puts are not grid cells: a full
+    recheck of an ``auto`` grid stores and re-serves only its own cells."""
+    grid = (("dcw", "tetris"), ("dedup", "vips"))
+
+    def run():
+        res = SweepEngine(
+            requests_per_core=200, cache=ResultCache(tmp_path / "store"),
+            fastpath="auto", recheck_fraction=1.0,
+        ).run(*grid)
+        res.raise_errors()
+        assert res.stats.fastpath_cells == res.stats.recheck_samples == 4
+        return res.stats
+
+    cold, warm = run(), run()
+    assert (cold.cache_hits, cold.cache_stores) == (0, 4)
+    assert (warm.cache_hits, warm.cache_stores, warm.executed) == (4, 0, 0)
 
 
 def test_runner_facade_parallel_matches_serial(serial_rows):
@@ -240,28 +271,6 @@ def test_cache_put_fsyncs_entry_and_directory_only_when_asked(
     else:
         assert synced == []
     assert cache.get(key) == {"x": 2}
-
-
-# ----------------------------------------------------------------------
-# parallel_map (ablation / crossover backbone).
-# ----------------------------------------------------------------------
-def _square(x: int) -> int:
-    return x * x
-
-
-def _boom(x: int) -> int:
-    raise RuntimeError(f"boom {x}")
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    assert parallel_map(_square, items, workers=1) == [x * x for x in items]
-    assert parallel_map(_square, items, workers=4) == [x * x for x in items]
-
-
-def test_parallel_map_propagates_errors():
-    with pytest.raises(RuntimeError, match="boom"):
-        parallel_map(_boom, [1, 2], workers=2)
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ FIXTURE_MATRIX = [
     ("SL006", "repro.core.fixture", 3),
     ("SL007", "repro.pcm.fixture", 3),
     ("SL008", "repro.experiments.fixture", 3),
-    ("SL009", "repro.parallel.fixture", 5),
+    ("SL009", "repro.parallel.fixture", 6),
     ("SL010", "repro.oracle.analytic", 5),
     ("SL011", "repro.core.fixture", 8),
     ("SL014", "repro.experiments.fixture", 5),

@@ -3,7 +3,7 @@
 The load-bearing guarantees (ISSUE 7):
 
 * a worker SIGKILLed mid-cell costs a retry, never a lost cell or a
-  hung grid;
+  hung grid — fastpath recheck cells included;
 * a cell that blows its deadline is killed, retried, and — if it never
   stops hanging — quarantined as a structured ``CellError`` with
   ``attempts > 1``, while every other cell completes;
@@ -26,7 +26,10 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +41,6 @@ from repro.parallel import (
     SweepEngine,
     SweepJournal,
     WorkerSupervisor,
-    WorkerTaskError,
-    parallel_map,
     retry_jitter,
 )
 
@@ -195,6 +196,51 @@ def test_sigkilled_worker_is_retried_and_grid_completes(chaos_env, tmp_path):
     # The post-fault grid is byte-identical to a clean serial run.
     clean = SweepEngine(requests_per_core=REQUESTS, workers=1, cache=False)
     assert row_bytes(res.rows) == row_bytes(clean.run(SCHEMES, WORKLOADS).rows)
+
+
+#: Prices dedup x tetris analytically into a fresh cache, then re-runs it
+#: under ``auto`` with every fastpath cell rechecked while the kill gate
+#: is armed: the grid cell is a cache hit, so only the recheck's DES twin
+#: executes — and must be the one the gate kills.
+_KILL_RECHECK_SCRIPT = """
+import json, os, sys
+from repro.parallel import ResultCache, RetryPolicy, SweepEngine
+
+cache_dir, flag = sys.argv[1:3]
+grid = (("tetris",), ("dedup",))
+SweepEngine(
+    requests_per_core=200, cache=ResultCache(cache_dir), fastpath="force",
+    recheck_fraction=0.0,
+).run(*grid).raise_errors()
+os.environ["REPRO_CHAOS_KILL_ONCE"] = f"{flag}:dedup:tetris"
+res = SweepEngine(
+    requests_per_core=200, cache=ResultCache(cache_dir), fastpath="auto",
+    recheck_fraction=1.0, workers=2,
+    retry=RetryPolicy(backoff_base_s=0.01, poll_interval_s=0.02),
+).run(*grid)
+res.raise_errors()
+print(json.dumps(res.certificate["rechecks"]))
+"""
+
+
+def test_recheck_cell_that_kills_its_worker_does_not_kill_the_sweep(
+    chaos_env, tmp_path
+):
+    # A subprocess, because a recheck executed in the sweep's own process
+    # takes the kill itself (exit -9) and would take pytest with it.
+    flag = tmp_path / "kill-once"
+    flag.touch()
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_RECHECK_SCRIPT,
+         str(tmp_path / "store"), str(flag)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [record] = json.loads(proc.stdout)
+    assert (record["workload"], record["scheme"]) == ("dedup", "tetris")
+    assert not flag.exists()        # the kill consumed its flag
 
 
 # ----------------------------------------------------------------------
@@ -438,39 +484,3 @@ def test_cache_get_missing_entry_is_plain_miss_not_corrupt(tmp_path):
     assert cache.get("0" * 64) is None
     assert cache.stats.misses == 1
     assert cache.stats.corrupt == 0
-
-
-# ----------------------------------------------------------------------
-# parallel_map regressions.
-# ----------------------------------------------------------------------
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_empty_input_returns_empty_list():
-    assert parallel_map(_square, [], workers=4) == []
-
-
-def test_parallel_map_worker_death_raises_worker_task_error(tmp_path):
-    # os.getpid is picklable and SIGKILLing via a task fn needs a real
-    # function; reuse the engine's kill gate through a sweep-free map.
-    flag = tmp_path / "kill"
-    flag.touch()
-    env_key = "REPRO_CHAOS_KILL_ONCE"
-    old = os.environ.get(env_key)
-    os.environ[env_key] = f"{flag}:w:s"
-    try:
-        with pytest.raises(WorkerTaskError, match="worker died"):
-            parallel_map(_chaos_map_item, [1, 2], workers=2)
-    finally:
-        if old is None:
-            os.environ.pop(env_key, None)
-        else:
-            os.environ[env_key] = old
-
-
-def _chaos_map_item(x):
-    from repro.parallel.engine import _chaos_inject
-
-    _chaos_inject("w", "s")
-    return x

@@ -694,8 +694,10 @@ class ForkUnsafeWorkerRule(LintRule):
 
     The rule analyzes one module at a time: it collects module-level
     mutable bindings and pool-task submissions (``pool.map``-family
-    methods, ``parallel_map``, ``Process(target=...)``), then walks each
-    locally-defined worker for reads/writes of those bindings.
+    methods, the task function of a ``WorkerSupervisor(...)`` — first
+    positional argument or ``task_fn=`` — and ``Process(target=...)``),
+    then walks each locally-defined worker for reads/writes of those
+    bindings.
     """
 
     id = "SL009"
@@ -710,7 +712,7 @@ class ForkUnsafeWorkerRule(LintRule):
          "apply_async"}
     )
     _GENERIC_METHODS = frozenset({"map", "apply", "submit"})
-    _TASK_FUNCS = frozenset({"parallel_map"})
+    _TASK_FUNCS = frozenset({"WorkerSupervisor"})
     _RECEIVER_HINT = re.compile(r"(pool|executor)", re.I)
     _MUTABLE_CALLS = frozenset(
         {"list", "dict", "set", "bytearray", "defaultdict", "deque",
@@ -782,8 +784,11 @@ class ForkUnsafeWorkerRule(LintRule):
             resolved = ctx.resolve(func)
             if resolved is not None:
                 tail = resolved.split(".")[-1]
-                if tail in self._TASK_FUNCS and node.args:
-                    tasks.append(node.args[0])
+                if tail in self._TASK_FUNCS:
+                    tasks.extend(node.args[:1])
+                    tasks.extend(
+                        kw.value for kw in node.keywords if kw.arg == "task_fn"
+                    )
                     continue
                 if tail == "Process":
                     for kw in node.keywords:
@@ -1599,11 +1604,11 @@ class ApiDriftRule(LintRule):
 class UnsupervisedPoolRule(LintRule):
     """Bare ``multiprocessing`` pools bypass the sweep supervisor.
 
-    ISSUE 7 replaced ``Pool.imap_unordered`` fan-out with
-    :class:`repro.parallel.supervisor.WorkerSupervisor`, which adds the
-    properties every ``repro`` sweep now relies on: per-cell deadlines
-    (a hung worker cannot stall a grid forever), worker-death detection
-    and retry (a SIGKILLed worker costs one retry, not a lost cell),
+    :class:`repro.parallel.supervisor.WorkerSupervisor` replaced
+    ``Pool.imap_unordered`` fan-out and adds the properties every
+    ``repro`` sweep relies on: per-cell deadlines (a hung worker cannot
+    stall a grid forever), worker-death detection and retry (a
+    SIGKILLed worker costs one retry, not a lost cell),
     deterministic backoff, quarantine into structured error rows, and a
     serial fallback instead of an aborted grid.  A bare
     ``multiprocessing.Pool`` (or a direct ``imap``-family dispatch on
@@ -1612,7 +1617,7 @@ class UnsupervisedPoolRule(LintRule):
 
     Route parallel work through :class:`WorkerSupervisor`,
     :class:`~repro.parallel.engine.SweepEngine`, or
-    :func:`~repro.parallel.engine.parallel_map`.  Exempt: ``repro.cli``
+    :func:`~repro.parallel.engine.run_cells`.  Exempt: ``repro.cli``
     (thin command wrappers) and the supervisor module itself (the one
     sanctioned owner of worker processes).
     """
@@ -1653,7 +1658,7 @@ class UnsupervisedPoolRule(LintRule):
                 f"{resolved} bypasses the worker supervisor: no deadlines, "
                 "no death detection, no retry; use "
                 "repro.parallel.WorkerSupervisor / SweepEngine / "
-                "parallel_map instead",
+                "run_cells instead",
             )
             return
         if not isinstance(node.func, ast.Attribute):
@@ -1667,7 +1672,7 @@ class UnsupervisedPoolRule(LintRule):
                 ctx,
                 "pool constructed from a multiprocessing context bypasses "
                 "the worker supervisor; use repro.parallel.WorkerSupervisor "
-                "/ SweepEngine / parallel_map instead",
+                "/ SweepEngine / run_cells instead",
             )
         elif attr in self._POOL_ONLY_METHODS:
             yield self.finding(
@@ -1676,7 +1681,7 @@ class UnsupervisedPoolRule(LintRule):
                 f".{attr}() dispatches tasks on a bare pool, outside the "
                 "supervisor's deadline/retry/quarantine state machine; use "
                 "repro.parallel.WorkerSupervisor / SweepEngine / "
-                "parallel_map instead",
+                "run_cells instead",
             )
 
 
