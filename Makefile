@@ -16,7 +16,6 @@ verify:          ## test suite with runtime invariant checking armed
 
 oracle:          ## differential + metamorphic oracle run (docs/ORACLE.md)
 	$(PYTHON) -m repro.cli oracle --cases 2000
-	$(PYTHON) -m pytest -x -q tests/test_oracle.py
 
 bench:           ## paper-figure benches (prints + writes benchmarks/out/)
 	$(PYTHON) -m pytest benchmarks/ -q

@@ -3,7 +3,8 @@
 Every experiment renders from the one experiment table
 (:mod:`repro.experiments.table`); ``report`` prints entries by ID, or
 writes all of them into a Markdown report.  The Figs 11-14 grid under
-any controller or core configuration is a ``sweep``.
+any controller or core configuration is a ``sweep``, run in process or,
+given ``--endpoint`` or ``REPRO_SERVICE``, on a ``serve`` job server.
 
 Examples::
 
@@ -13,6 +14,7 @@ Examples::
     tetris-write report --out REPORT.md
     tetris-write sweep --workloads dedup vips --schemes dcw tetris
     tetris-write sweep --fastpath off --certificate "" --pausing
+    tetris-write sweep --endpoint unix:/run/tw.sock --pausing
     tetris-write report fault_sweep fault_wearout
     tetris-write trace --workload ferret --out ferret.npz
 """
@@ -189,74 +191,88 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.config import CPUConfig, MemCtrlConfig, PCMOrganization, default_config
+def _grid_spec(args: argparse.Namespace):
+    """The one grid request ``sweep`` runs in process or submits: the
+    DCW baseline first (rows are normalized to it), and in ``config``
+    only the config flags set away from their defaults."""
+    from repro.config import default_config
     from repro.experiments.runner import BASELINE_SCHEME
-    from repro.parallel import RetryPolicy, SweepEngine
+    from repro.service import GridSpec
 
-    retry = RetryPolicy()
-    if args.max_retries is not None:
-        retry = RetryPolicy(max_retries=max(0, args.max_retries))
+    defaults = default_config().to_dict()
+    config: dict = {}
+    for section, name, value in (
+        ("memctrl", "write_pausing", args.pausing),
+        ("memctrl", "write_coalescing", args.coalescing),
+        ("memctrl", "drain_order", "sjf" if args.sjf else "fifo"),
+        ("memctrl", "opportunistic_drain", args.opportunistic),
+        ("organization", "subarrays_per_bank", args.subarrays),
+        ("cpu", "max_outstanding_reads", args.mlp),
+    ):
+        if value != defaults[section][name]:
+            config.setdefault(section, {})[name] = value
+    return GridSpec.from_dict({
+        "schemes": list(dict.fromkeys([BASELINE_SCHEME, *args.schemes])),
+        "workloads": list(args.workloads),
+        "requests_per_core": args.requests,
+        "seed": args.seed,
+        "fastpath": args.fastpath,
+        "config": config,
+    })
 
-    schemes = tuple(dict.fromkeys([BASELINE_SCHEME, *args.schemes]))
-    fastpath_kwargs = {}
-    if args.recheck is not None:
-        fastpath_kwargs["recheck_fraction"] = args.recheck
-    config = default_config().replace(
-        memctrl=MemCtrlConfig(
-            write_pausing=args.pausing,
-            write_coalescing=args.coalescing,
-            drain_order="sjf" if args.sjf else "fifo",
-            opportunistic_drain=args.opportunistic,
-        ),
-        organization=PCMOrganization(subarrays_per_bank=args.subarrays),
-        cpu=CPUConfig(max_outstanding_reads=args.mlp),
-    )
-    engine = SweepEngine(
-        config=config,
-        requests_per_core=args.requests,
-        root_seed=args.seed,
-        workers=args.workers,
-        cache=False if args.no_cache else None,
-        cache_dir=args.cache_dir or None,
-        retry=retry,
-        cell_deadline_s=args.cell_deadline,
-        fastpath=args.fastpath,
-        certificate_path=args.certificate or None,
-        **fastpath_kwargs,
-    )
-    sweep = engine.run(schemes, tuple(args.workloads))
-    base = {
-        o.cell.workload: o.row
-        for o in sweep.outcomes
-        if o.cell.scheme == BASELINE_SCHEME and o.row is not None
-    }
-    rows = []
-    for o in sweep.outcomes:
-        if o.error is not None:
-            rows.append([o.cell.workload, o.cell.scheme, "ERROR",
-                         o.error.error_type, "", "", ""])
-            continue
-        r = o.row
+
+def _print_sweep_table(spec, rows: list, errors: list, labels: dict) -> None:
+    """Rows and errors in grid order, normalized to each workload's DCW
+    row; ``labels`` names how each ``(workload, scheme)`` cell ran."""
+    from repro.experiments.runner import BASELINE_SCHEME, ExperimentResult
+
+    done = {(r["workload"], r["scheme"]): ExperimentResult(**r) for r in rows}
+    failed = {(e["workload"], e["scheme"]): e["error_type"] for e in errors}
+    table = []
+    for w in spec.workloads:
         # A workload whose DCW cell failed has nothing to normalize to.
-        if r.workload in base:
-            norm = r.normalized(base[r.workload])
-            ratios = [norm["read_latency"], norm["write_latency"],
-                      norm["ipc_improvement"], norm["running_time"]]
-        else:
-            ratios = ["n/a"] * 4
-        rows.append(
-            [r.workload, r.scheme, *ratios, "hit" if o.cached else "ran"]
-        )
+        base = done.get((w, BASELINE_SCHEME))
+        for s in spec.schemes:
+            r = done.get((w, s))
+            if (w, s) in failed:
+                table.append([w, s, "ERROR", failed[w, s], "", "", ""])
+            elif r is not None:  # else a cancelled job's unfinished cell
+                ratios = r.normalized(base).values() if base else ["n/a"] * 4
+                table.append([w, s, *ratios, labels.get((w, s), "served")])
     print(
         format_table(
             ["workload", "scheme", "read-lat", "write-lat", "IPC-x", "runtime", "cell"],
-            rows,
+            table,
             title="Sweep results normalized to the DCW baseline",
         )
     )
+
+
+def _run_sweep(spec, args: argparse.Namespace) -> tuple[int, dict]:
+    """Run ``spec`` in this process; ``(exit code, --json payload)``."""
+    import dataclasses
+
+    from repro.parallel import RetryPolicy
+
+    execution = {
+        "workers": args.workers,
+        "cache": False if args.no_cache else None,
+        "cache_dir": args.cache_dir or None,
+        "retry": (None if args.max_retries is None
+                  else RetryPolicy(max_retries=args.max_retries)),
+        "cell_deadline_s": args.cell_deadline,
+        "recheck_fraction": args.recheck,
+        "certificate_path": args.certificate or None,
+    }
+    sweep = spec.engine(
+        **{k: v for k, v in execution.items() if v is not None}
+    ).run(spec.schemes, spec.workloads)
+    rows = [dataclasses.asdict(r) for r in sweep.rows]
+    errors = [dataclasses.asdict(e) for e in sweep.errors]
+    _print_sweep_table(spec, rows, errors, {
+        (o.cell.workload, o.cell.scheme): "hit" if o.cached else "ran"
+        for o in sweep.outcomes
+    })
     s = sweep.stats
     hit_pct = 100.0 * s.cache_hits / s.cells if s.cells else 0.0
     print(
@@ -277,37 +293,47 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.certificate:
         print(f"wrote lane certificate to {args.certificate}")
-    if args.json:
-        import dataclasses
-
-        payload = {
-            "stats": s.to_dict(),
-            "rows": [dataclasses.asdict(r) for r in sweep.rows],
-            "errors": [dataclasses.asdict(e) for e in sweep.errors],
-            "certificate": sweep.certificate,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return 1 if sweep.errors else 0
+    return (1 if errors else 0), {"stats": s.to_dict(), "rows": rows,
+                                  "errors": errors, "certificate": sweep.certificate}
 
 
-def _grid_from_args(args: argparse.Namespace) -> dict:
-    return {
-        "schemes": list(args.schemes),
-        "workloads": list(args.workloads),
-        "requests_per_core": args.requests,
-        "seed": args.seed,
-    }
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.service import ProtocolError
 
+    try:
+        spec = _grid_spec(args)
+    except ProtocolError as exc:
+        print(f"invalid sweep [{exc.code}]: {exc.message}")
+        return 2
 
-def _print_service_error(exc) -> None:
-    retry = (
-        f" (retry after {exc.retry_after_s:g}s)"
-        if exc.retry_after_s is not None
-        else ""
-    )
-    print(f"service error [{exc.code}]: {exc.message}{retry}")
+    def served(client) -> tuple[int, dict | None]:
+        # These flags pick where and how cells run, never the rows; a
+        # served sweep runs on the server's settings.
+        flags = [flag for flag, is_set in (
+            ("--workers", args.workers != 1),
+            ("--no-cache", args.no_cache),
+            ("--cache-dir", bool(args.cache_dir)),
+            ("--max-retries", args.max_retries is not None),
+            ("--cell-deadline", args.cell_deadline is not None),
+            ("--recheck", args.recheck is not None),
+            ("--certificate", args.certificate != DEFAULT_CERTIFICATE),
+        ) if is_set]
+        if flags:
+            print(f"{' '.join(flags)}: in-process only (drop the endpoint)")
+            return 2, None
+        job = client.submit(spec)["job"]
+        try:
+            for event in client.watch(job):
+                _print_job_reply(event)
+        except KeyboardInterrupt:
+            print(f"detached; job {job} keeps running on the server "
+                  f"(tetris-write watch {job})")
+            return 130, None
+        reply = client.status(job)
+        _print_sweep_table(spec, reply["rows"], reply["errors"], {})
+        return (0 if reply["state"] == "done" and not reply["failed"] else 1), reply
+
+    return _service_call(args, served, lambda: _run_sweep(spec, args))
 
 
 def _print_job_reply(reply: dict) -> None:
@@ -330,7 +356,9 @@ def _maybe_json(args: argparse.Namespace, payload: dict) -> None:
         import json
 
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            # Sorted keys, as on the wire: a served and an in-process
+            # sweep write byte-identical rows.
+            json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
 
 
@@ -350,7 +378,9 @@ def _service_call(args: argparse.Namespace, call, offline=None) -> int:
         try:
             code, reply = call(client)
         except ProtocolError as exc:
-            _print_service_error(exc)
+            retry = exc.retry_after_s
+            print(f"service error [{exc.code}]: {exc.message}"
+                  + (f" (retry after {retry:g}s)" if retry is not None else ""))
             return 1
         except OSError as exc:
             print(f"cannot reach service at {client.endpoint}: {exc}")
@@ -443,38 +473,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    grid = _grid_from_args(args)
-
-    def finish(reply: dict) -> tuple[int, dict]:
-        _print_job_reply(reply)
-        return (1 if reply.get("failed") else 0), reply
-
-    def offline() -> tuple[int, dict]:
-        from repro.service import run_inprocess
-
-        reply = run_inprocess(
-            grid,
-            tenant=args.tenant,
-            cache_dir=args.cache_dir or None,
-            workers=args.workers,
-        )
-        print("no service endpoint: executed in process (degraded mode)")
-        return finish(reply)
-
-    def submit(client) -> tuple[int, dict]:
-        reply = client.submit(grid)
-        if args.watch and reply.get("state") not in ("done", "cancelled"):
-            _print_job_reply(reply)
-            for event in client.watch(reply["job"]):
-                if event.get("event") == "progress":
-                    _print_job_reply(event)
-            reply = client.status(reply["job"])
-        return finish(reply)
-
-    return _service_call(args, submit, offline)
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
     def status(client) -> tuple[int, dict]:
         reply = client.status(args.job or None)
@@ -544,8 +542,6 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    import json
-
     from repro.oracle.differential import run_differential
     from repro.oracle.metamorphic import run_metamorphic
 
@@ -582,11 +578,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         for v in violations[:5]:
             print(f"  VIOLATION {name}: {v}")
 
-    if args.json:
-        payload = {"differential": report.to_dict(), "metamorphic": meta}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
+    _maybe_json(
+        args, {"differential": report.to_dict(), "metamorphic": meta}
+    )
     ok = report.ok and meta["ok"]
     print("oracle: OK" if ok else "oracle: FAILED")
     return 0 if ok else 1
@@ -614,15 +608,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _bounded(kind, what: str, low: float, high: float = float("inf")):
+    """argparse type: a ``kind`` number in ``[low, high]``, or exit 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _bounded(int, "a positive integer", 1)
+#: ``sweep --certificate`` default (an in-process run writes it here).
+DEFAULT_CERTIFICATE = "sweep-certificate.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,10 +643,20 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=list(WORKLOAD_NAMES),
             )
 
+    def service_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--endpoint", default="",
+                       help="service endpoint, e.g. unix:/run/tw.sock or "
+                            "tcp:127.0.0.1:7733 (default: REPRO_SERVICE)")
+        p.add_argument("--tenant", default="default",
+                       help="tenant name for admission + fair queueing")
+        p.add_argument("--json", default="",
+                       help="also write the final reply as JSON here")
+
     p = sub.add_parser(
         "sweep",
         help="scheme x workload grid normalized to DCW (Figs 11-14): "
-             "parallel, cached, resumable (docs/PERFORMANCE.md)",
+             "parallel, cached, resumable, in process or served "
+             "(docs/PERFORMANCE.md, docs/SERVICE.md)",
     )
     common(p)
     p.add_argument("--schemes", nargs="+", default=list(COMPARED_SCHEMES))
@@ -668,11 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default="",
                    help="result-cache root (default: REPRO_CACHE_DIR or "
                         "~/.cache/tetris-write/results)")
-    p.add_argument("--json", default="",
-                   help="also write rows + stats as JSON here")
-    p.add_argument("--max-retries", type=int, default=None,
+    p.add_argument("--max-retries", type=_bounded(int, "a non-negative integer", 0),
                    help="per-cell retry budget beyond the first attempt")
-    p.add_argument("--cell-deadline", type=float, default=None,
+    p.add_argument("--cell-deadline", type=_bounded(float, "a non-negative number", 0),
                    help="per-cell wall-clock deadline in seconds "
                         "(0 disables; default scales with --requests)")
     p.add_argument("--fastpath", default="auto", choices=["auto", "off", "force"],
@@ -680,23 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "through the oracle-certified pricer, off is DES "
                         "everywhere, force errors on out-of-envelope cells "
                         "(docs/PERFORMANCE.md)")
-    p.add_argument("--recheck", type=float, default=None, metavar="FRACTION",
+    p.add_argument("--recheck", type=_bounded(float, "in [0, 1]", 0, 1),
+                   metavar="FRACTION",
                    help="fraction of fastpath cells differentially re-run "
                         "through the DES (default 0.02, min 1 sample; "
                         "docs/ORACLE.md)")
-    p.add_argument("--certificate", default="sweep-certificate.json",
+    p.add_argument("--certificate", default=DEFAULT_CERTIFICATE,
                    help="write the per-run lane certificate here "
                         "('' disables; docs/ORACLE.md)")
+    service_common(p)
     p.set_defaults(fn=_cmd_sweep)
-
-    def service_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--endpoint", default="",
-                       help="service endpoint, e.g. unix:/run/tw.sock or "
-                            "tcp:127.0.0.1:7733 (default: REPRO_SERVICE)")
-        p.add_argument("--tenant", default="default",
-                       help="tenant name for admission + fair queueing")
-        p.add_argument("--json", default="",
-                       help="also write the final reply as JSON here")
 
     p = sub.add_parser(
         "serve", help="run the sweep job server (docs/SERVICE.md)"
@@ -728,20 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (unix:PATH or tcp:HOST:PORT); "
                         "with --drain, the endpoint to drain")
     p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="submit a grid to the service (docs/SERVICE.md)"
-    )
-    common(p)
-    p.add_argument("--schemes", nargs="+", default=list(COMPARED_SCHEMES))
-    p.add_argument("--watch", action="store_true",
-                   help="stream progress until the job finishes")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="workers for degraded in-process execution")
-    p.add_argument("--cache-dir", default="",
-                   help="cache root for degraded in-process execution")
-    service_common(p)
-    p.set_defaults(fn=_cmd_submit)
 
     p = sub.add_parser("status", help="service / job status (docs/SERVICE.md)")
     p.add_argument("job", nargs="?", default="",

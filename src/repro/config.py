@@ -421,31 +421,29 @@ class SystemConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SystemConfig":
-        """Rebuild a config saved with :meth:`to_dict`."""
+        """Rebuild a config from :meth:`to_dict` output, or from any part
+        of it: a section or field that ``data`` leaves out keeps its
+        default.  So configs saved before the fault and observability
+        subsystems load fault-free and untraced (the behavior they were
+        recorded under), and a service grid's config delta is a part.
+        """
         data = dict(data)
-        faults = data.pop("faults", None)
-        trace = data.pop("trace", None)
         # Configs saved while the pump carried these settings (nothing
         # ever read them) load without them.
-        power = {
-            k: v for k, v in data.pop("power").items()
-            if k not in ("gcp_enabled", "pump_voltage_v", "pump_current_ma")
+        power = dict(data.pop("power", {}))
+        for stale in ("gcp_enabled", "pump_voltage_v", "pump_current_ma"):
+            power.pop(stale, None)
+        if "caches" in data:
+            data["caches"] = tuple(CacheConfig(**c) for c in data["caches"])
+        sections = {
+            name: kind(**data.pop(name, {}))
+            for name, kind in (
+                ("timings", PCMTimings), ("organization", PCMOrganization),
+                ("cpu", CPUConfig), ("memctrl", MemCtrlConfig),
+                ("faults", FaultConfig), ("trace", TraceConfig),
+            )
         }
-        return SystemConfig(
-            timings=PCMTimings(**data.pop("timings")),
-            power=PCMPower(**power),
-            organization=PCMOrganization(**data.pop("organization")),
-            cpu=CPUConfig(**data.pop("cpu")),
-            memctrl=MemCtrlConfig(**data.pop("memctrl")),
-            caches=tuple(CacheConfig(**c) for c in data.pop("caches")),
-            # Configs saved before the fault subsystem round-trip as
-            # fault-free (the behavior they were recorded under).
-            faults=FaultConfig(**faults) if faults is not None else FaultConfig(),
-            # Configs saved before the observability subsystem load with
-            # tracing off (the behavior they were recorded under).
-            trace=TraceConfig(**trace) if trace is not None else TraceConfig(),
-            **data,
-        )
+        return SystemConfig(power=PCMPower(**power), **sections, **data)
 
     def to_json(self) -> str:
         import json

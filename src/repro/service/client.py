@@ -1,4 +1,4 @@
-"""Client side of the sweep service: sync sockets + in-process fallback.
+"""Client side of the sweep service: sync sockets and in-process runs.
 
 :class:`ServiceClient` speaks the NDJSON protocol over a Unix or TCP
 socket with plain blocking sockets — the client is a short-lived CLI
@@ -14,12 +14,9 @@ Endpoint syntax (``--endpoint`` / ``REPRO_SERVICE``)::
     /run/tetris-write.sock          bare path -> unix
     127.0.0.1:7733                  host:port -> tcp
 
-**Degraded mode:** when no endpoint is configured,
-:func:`run_inprocess` executes the same validated :class:`GridSpec`
-directly through :class:`~repro.parallel.engine.SweepEngine` and
-returns a reply shaped like a finished job — ``tetris-write submit``
-works identically with or without a server, and the rows are
-byte-identical either way.
+``tetris-write sweep`` submits its :class:`GridSpec` here when given an
+endpoint; :func:`run_inprocess` runs a grid without a server.  The rows
+are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -176,27 +173,18 @@ class ServiceClient:
         return self.status(job_id)
 
 
-# ----------------------------------------------------------------------
-# Degraded mode: no server configured.
-# ----------------------------------------------------------------------
 def run_inprocess(
-    grid: dict | GridSpec,
-    *,
-    tenant: str = "local",
-    cache: object | None = None,
-    cache_dir: str | None = None,
-    workers: int = 1,
+    grid: dict | GridSpec, *, tenant: str = "local", **execution
 ) -> dict:
     """Execute a grid without a server; reply shaped like a finished job.
 
     The grid goes through the same :class:`GridSpec` validation and the
-    same engine as the service, so switching between degraded and
-    served mode changes latency, never results.
+    same engine as the service (``execution`` as for
+    :meth:`GridSpec.engine`), so running in process instead of served
+    changes latency, never results.
     """
     spec = grid if isinstance(grid, GridSpec) else GridSpec.from_dict(grid)
-    engine = spec.engine(
-        cache=cache, cache_dir=cache_dir, workers=max(1, int(workers))
-    )
+    engine = spec.engine(**execution)
     result = engine.run(spec.schemes, spec.workloads)
     return {
         "ok": True,

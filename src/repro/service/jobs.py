@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.config import SystemConfig
 from repro.parallel.engine import FASTPATH_MODES, PlannedCell, SweepEngine
 from repro.parallel.journal import SweepJournal
 from repro.schemes import SCHEME_REGISTRY
@@ -52,9 +53,20 @@ JOB_STATES = ("queued", "running", "done", "cancelled")
 MAX_GRID_CELLS = 4096
 
 
+def _system_config(delta: object) -> SystemConfig:
+    """The grid's config: ``delta`` over :func:`default_config`, merged
+    section by section (:meth:`SystemConfig.from_dict` of a part)."""
+    if not isinstance(delta, dict):
+        raise ProtocolError(E_BAD_GRID, "grid.config must be an object")
+    try:
+        return SystemConfig.from_dict(delta)
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ProtocolError(E_BAD_GRID, f"grid.config: {exc}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """One submitted experiment grid (the ``"grid"`` object on the wire)."""
+    """One experiment grid request (the ``"grid"`` object on the wire)."""
 
     schemes: tuple[str, ...]
     workloads: tuple[str, ...]
@@ -63,6 +75,9 @@ class GridSpec:
     #: Analytic-lane policy for this grid; "off" keeps server results
     #: bit-identical to pre-fastpath deployments unless a tenant opts in.
     fastpath: str = "off"
+    #: Config delta over ``default_config().to_dict()``, e.g.
+    #: ``{"memctrl": {"write_pausing": True}}``; empty is Table II.
+    config: dict = field(default_factory=dict, hash=False)
 
     @classmethod
     def from_dict(cls, doc: object) -> "GridSpec":
@@ -78,6 +93,7 @@ class GridSpec:
             )
         unknown = set(doc) - {
             "schemes", "workloads", "requests_per_core", "seed", "fastpath",
+            "config",
         }
         if unknown:
             raise ProtocolError(
@@ -125,38 +141,43 @@ class GridSpec:
                 f"grid has {len(schemes) * len(workloads)} cells "
                 f"(limit {MAX_GRID_CELLS}); split the submission",
             )
+        _system_config(doc.get("config", {}))
         return cls(
             schemes=tuple(dict.fromkeys(schemes)),
             workloads=tuple(dict.fromkeys(workloads)),
             requests_per_core=requests,
             seed=seed,
             fastpath=fastpath,
+            config=doc.get("config", {}),
         )
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "schemes": list(self.schemes),
             "workloads": list(self.workloads),
             "requests_per_core": self.requests_per_core,
             "seed": self.seed,
             "fastpath": self.fastpath,
         }
+        if self.config:
+            doc["config"] = self.config
+        return doc
 
-    def engine(self, *, cache, cache_dir=None, workers: int = 1) -> SweepEngine:
+    def engine(self, **execution) -> SweepEngine:
         """The planning/execution engine for this grid.
 
-        ``cache`` follows :class:`SweepEngine` semantics (instance /
-        ``None`` for the env default / ``False`` to disable), so the
-        server's shared store and the client's degraded mode both plan
-        with identical keys.
+        ``execution`` holds the :class:`SweepEngine` settings that pick
+        where and how cells run, never the rows: ``workers``, ``cache``
+        (so the server's shared store and an in-process sweep plan with
+        identical keys), ``cache_dir``, ``retry``, ``cell_deadline_s``,
+        ``recheck_fraction`` and ``certificate_path``.
         """
         return SweepEngine(
+            config=_system_config(self.config) if self.config else None,
             requests_per_core=self.requests_per_core,
             root_seed=self.seed,
-            workers=workers,
-            cache=cache,
-            cache_dir=cache_dir,
             fastpath=self.fastpath,
+            **execution,
         )
 
     def plan(self, *, cache) -> list[PlannedCell]:

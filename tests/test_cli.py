@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,13 +47,48 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--workers", "0"],
         ["serve", "--workers", "0"],
-        ["submit", "--workers", "-2"],
-    ], ids=lambda argv: argv[0])
+        ["sweep", "--workers", "-2"],
+    ], ids=["sweep", "serve", "sweep-negative"])
     def test_rejects_nonpositive_workers(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "--workers: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--subarrays", "0"], "need at least one subarray per bank"),
+        (["--mlp", "0"], "need at least one outstanding read"),
+        (["--recheck", "2"], "--recheck: must be in [0, 1]"),
+        (["--max-retries", "-5"], "--max-retries: must be a non-negative"),
+        (["--cell-deadline", "-1"], "--cell-deadline: must be a non-negative"),
+    ], ids=["subarrays", "mlp", "recheck", "max-retries", "cell-deadline"])
+    def test_rejects_bad_sweep_values(self, flags, message, capsys):
+        """A config value the grid validation refuses, or a budget out
+        of range, exits 2 before any cell runs: no traceback, no clamp."""
+        argv = ["sweep", "--workloads", "vips", "--schemes", "tetris",
+                "--no-cache", *flags]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert message in out + err
+        assert "Traceback" not in out + err
+
+    def test_settable_value_count_does_not_grow(self):
+        """Every concept has one front end: the CLI's settable values
+        (argparse actions other than help) stay at 69 over 12 verbs."""
+        import argparse
+
+        [verbs] = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        values = sum(
+            not isinstance(a, argparse._HelpAction)
+            for p in verbs.choices.values() for a in p._actions
+        )
+        assert len(verbs.choices) <= 12
+        assert values <= 69, f"{values} settable CLI values (limit 69)"
 
     @pytest.mark.parametrize("argv", [
         ["journal", "stats"],
@@ -171,32 +207,90 @@ class TestReportCommand:
             assert exp_id in out
 
 
-class TestServiceCommands:
-    """The service verbs degrade gracefully without a server."""
+class FakeClient:
+    """A service client whose every job is already finished, with no rows."""
 
-    def test_submit_degrades_to_in_process(self, capsys, monkeypatch):
+    REPLY = {"job": "j0", "state": "done", "done": 0, "total": 0, "failed": 0,
+             "rows": [], "errors": []}
+
+    def __init__(self, endpoint, tenant):
+        self.endpoint = endpoint
+
+    def submit(self, grid):
+        return self.REPLY
+
+    def watch(self, job):
+        yield self.REPLY
+
+    def status(self, job):
+        return self.REPLY
+
+
+class TestServiceCommands:
+    """The service verbs need a server; ``sweep`` runs here without one."""
+
+    def test_sweep_without_an_endpoint_runs_in_process(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
         code = main([
-            "submit", "--schemes", "dcw", "--workloads", "swaptions",
-            "--requests", "100",
+            "sweep", "--schemes", "dcw", "--workloads", "swaptions",
+            "--requests", "100", "--no-cache",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "degraded mode" in out
-        assert "1/1 done" in out
+        assert "1 cells: 1 executed" in out
+        assert "job " not in out
 
-    def test_submit_json_artifact(self, capsys, monkeypatch, tmp_path):
+    def test_sweep_json_artifact(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
         artifact = tmp_path / "job.json"
         code = main([
-            "submit", "--schemes", "dcw", "--workloads", "swaptions",
-            "--requests", "100", "--json", str(artifact),
+            "sweep", "--schemes", "dcw", "--workloads", "swaptions",
+            "--requests", "100", "--no-cache", "--json", str(artifact),
         ])
         assert code == 0
         reply = json.loads(artifact.read_text())
-        assert reply["state"] == "done"
+        assert reply["stats"]["cells"] == 1
         assert len(reply["rows"]) == 1
         assert reply["rows"][0]["scheme"] == "dcw"
+        assert list(reply["rows"][0]) == sorted(reply["rows"][0])
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "2"], ["--no-cache"], ["--cache-dir", "c"],
+        ["--max-retries", "1"], ["--cell-deadline", "5"],
+        ["--recheck", "0.5"], ["--certificate", ""],
+    ], ids=lambda flags: flags[0])
+    def test_served_sweep_refuses_in_process_flags(
+        self, flags, capsys, monkeypatch
+    ):
+        """Flags that pick where and how cells run have no meaning on a
+        server: the sweep exits 2 naming the flag, and submits nothing."""
+        class Client(FakeClient):
+            def submit(self, grid):
+                pytest.fail("a sweep with in-process flags was submitted")
+
+        monkeypatch.setattr("repro.service.ServiceClient", Client)
+        code = main(["sweep", "--endpoint", "unix:/nowhere.sock", *flags])
+        assert code == 2
+        assert flags[0] in capsys.readouterr().out
+
+    def test_ctrl_c_detaches_from_a_served_sweep(self, capsys, monkeypatch):
+        """Ctrl-C stops the watch, not the job: the sweep says how to
+        pick the job up again."""
+
+        class Client(FakeClient):
+            def watch(self, job):
+                raise KeyboardInterrupt
+                yield
+
+        monkeypatch.setattr("repro.service.ServiceClient", Client)
+        code = main(["sweep", "--endpoint", "unix:/nowhere.sock",
+                     "--workloads", "vips", "--schemes", "dcw"])
+        assert code == 130
+        assert "tetris-write watch j0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [["status"], ["watch", "j0"], ["cancel", "j0"]])
     def test_query_verbs_require_an_endpoint(self, argv, capsys, monkeypatch):
@@ -214,19 +308,11 @@ class TestServiceCommands:
     def test_json_write_failure_is_not_an_unreachable_service(
         self, monkeypatch, tmp_path
     ):
-        """Regression: ``submit --json`` into a missing directory was
+        """Regression: a served ``--json`` into a missing directory was
         reported as "cannot reach service" and exited 2."""
-
-        class Client:
-            def __init__(self, endpoint, tenant):
-                self.endpoint = endpoint
-
-            def submit(self, grid):
-                return {"job": "j0", "state": "done", "done": 1, "total": 1}
-
-        monkeypatch.setattr("repro.service.ServiceClient", Client)
+        monkeypatch.setattr("repro.service.ServiceClient", FakeClient)
         with pytest.raises(FileNotFoundError):
-            main(["submit", "--endpoint", "unix:/nowhere.sock",
+            main(["sweep", "--endpoint", "unix:/nowhere.sock",
                   "--json", str(tmp_path / "missing" / "job.json")])
 
     def test_drain_requires_an_endpoint(self, capsys, monkeypatch):
@@ -269,6 +355,55 @@ class TestServiceCommands:
         assert proc.returncode == 0, out
         assert f"unix:{sock}" in out
         assert "Traceback" not in out
+
+
+    def test_served_and_in_process_sweeps_give_byte_identical_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """One grid request: the same flags give the same ``--json`` rows
+        from a ``serve`` process as in process, and an in-process run on
+        the server's cache finds every cell (the same cache keys)."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SERVICE", raising=False)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+
+        def sweep(argv, name):
+            out = tmp_path / f"{name}.json"
+            assert main(["sweep", *argv, "--json", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        grid = ["--workloads", "vips", "--schemes", "tetris", "--requests", "200"]
+        sock = tmp_path / "tw.sock"
+        state = tmp_path / "state"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--endpoint",
+             f"unix:{sock}", "--state-dir", str(state), "--no-fsync"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not sock.exists():
+                assert proc.poll() is None, proc.stdout.read()
+                assert time.monotonic() < deadline, "server never bound"
+                time.sleep(0.05)
+            for i, flags in enumerate([["--pausing", "--fastpath", "auto"], []]):
+                served = sweep([*grid, *flags, "--endpoint", f"unix:{sock}"],
+                               f"served{i}")
+                local = sweep([*grid, *flags, "--no-cache"], f"local{i}")
+                warm = sweep([*grid, *flags, "--cache-dir", str(state / "cache")],
+                             f"warm{i}")
+                assert len(served["rows"]) == 2 and not served["errors"]
+                assert json.dumps(served["rows"]) == json.dumps(local["rows"])
+                assert warm["stats"]["executed"] == 0
+                assert warm["stats"]["cache_hits"] == 2
+            assert main(["serve", "--drain", "--endpoint", f"unix:{sock}"]) == 0
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
 
 
 class TestSweepCommand:

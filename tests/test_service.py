@@ -77,12 +77,14 @@ HANG_POLICY = RetryPolicy(
 )
 
 
-def serial_row_bytes(grid: dict) -> list[str]:
-    """Canonical row serialization of a serial engine run of ``grid``."""
+def serial_row_bytes(grid: dict, config=None) -> list[str]:
+    """Canonical row serialization of a serial engine run of ``grid``
+    (under ``config``, built by the caller, for a grid that carries one)."""
     import dataclasses
 
     spec = GridSpec.from_dict(grid)
     res = SweepEngine(
+        config=config,
         requests_per_core=spec.requests_per_core,
         root_seed=spec.seed,
         workers=1,
@@ -383,6 +385,54 @@ def test_engine_and_service_cache_the_same_entry(tmp_path):
     assert engine_record == json.loads(service_entry.read_text())
 
 
+class TestGridConfig:
+    """``GridSpec.config``: a delta over the Table II config."""
+
+    DELTA = {"memctrl": {"write_pausing": True}, "cpu": {"max_outstanding_reads": 4}}
+
+    def test_round_trips_and_stays_off_the_wire_when_empty(self):
+        spec = GridSpec.from_dict(dict(GRID_A, config=self.DELTA))
+        assert spec.to_dict()["config"] == self.DELTA
+        assert GridSpec.from_dict(spec.to_dict()) == spec
+        assert "config" not in GridSpec.from_dict(GRID_A).to_dict()
+
+    def test_plans_the_cache_keys_of_the_same_config_built_directly(
+        self, tmp_path
+    ):
+        from repro.config import CPUConfig, MemCtrlConfig, default_config
+
+        config = default_config().replace(
+            memctrl=MemCtrlConfig(write_pausing=True),
+            cpu=CPUConfig(max_outstanding_reads=4),
+        )
+        spec = GridSpec.from_dict(dict(GRID_A, config=self.DELTA))
+        cache = ResultCache(tmp_path / "cache")
+        direct = SweepEngine(
+            config=config, requests_per_core=REQUESTS, cache=cache
+        ).plan(spec.schemes, spec.workloads)
+        keys = [pc.cache_key for pc in spec.plan(cache=cache)]
+        assert keys == [pc.cache_key for pc in direct]
+        plain = [pc.cache_key for pc in GridSpec.from_dict(GRID_A).plan(cache=cache)]
+        assert set(keys).isdisjoint(plain)
+
+    @pytest.mark.parametrize("config", [
+        {"nosuch": {"x": 1}},
+        {"memctrl": {"nosuch": 1}},
+        {"organization": {"subarrays_per_bank": 0}},
+        {"memctrl": {"drain_order": "lifo"}},
+        {"memctrl": True},
+        {"power": [1]},
+        "pausing",
+    ], ids=["section", "field", "value", "choice", "section-type",
+            "power-type", "not-object"])
+    def test_rejects_a_bad_delta_as_bad_grid(self, config):
+        from repro.service.protocol import E_BAD_GRID
+
+        with pytest.raises(ProtocolError) as e:
+            GridSpec.from_dict(dict(GRID_A, config=config))
+        assert e.value.code == E_BAD_GRID
+
+
 def test_cell_landing_between_resolve_and_attach_is_never_requeued(tmp_path):
     spec = GridSpec.from_dict(GRID_SMALL)
 
@@ -594,7 +644,28 @@ def test_restart_resumes_finished_job_with_zero_reexecution(tmp_path):
 
 
 def test_restart_resumes_partial_job_executing_only_missing_cells(tmp_path):
-    spec_full = GridSpec.from_dict(GRID_A)
+    resume_partial_job(tmp_path, GRID_A)
+
+
+def test_restart_resumes_partial_config_job_on_the_same_cache_keys(tmp_path):
+    """The journaled grid keeps its config delta: the restarted server
+    re-plans the keys the first life cached, and runs the config."""
+    from repro.config import CPUConfig, MemCtrlConfig, default_config
+
+    grid = dict(GRID_A, config={
+        "memctrl": {"write_pausing": True},
+        "cpu": {"max_outstanding_reads": 4},
+    })
+    config = default_config().replace(
+        memctrl=MemCtrlConfig(write_pausing=True),
+        cpu=CPUConfig(max_outstanding_reads=4),
+    )
+    assert serial_row_bytes(grid, config) != serial_row_bytes(GRID_A)
+    resume_partial_job(tmp_path, grid, config)
+
+
+def resume_partial_job(tmp_path, grid: dict, config=None) -> None:
+    spec_full = GridSpec.from_dict(grid)
     cache = ResultCache(tmp_path / "cache")
     state = tmp_path / "state"
     state.mkdir()
@@ -616,7 +687,7 @@ def test_restart_resumes_partial_job_executing_only_missing_cells(tmp_path):
         # "submitted" marker journaled) but never planned.
         svc = SweepService(state_dir=state, cache=cache, fsync=False)
         await svc.start()
-        half = dict(GRID_A, schemes=["dcw"])
+        half = dict(grid, schemes=["dcw"])
         try:
             await svc._dispatch(submit_frame("alice", half), None)
             await asyncio.wait_for(svc.scheduler.wait_idle(), 120)
@@ -640,7 +711,7 @@ def test_restart_resumes_partial_job_executing_only_missing_cells(tmp_path):
     counters = svc2.scheduler.counter_values()
     assert counters["cells_executed"] == 2
     assert full_job.cached_cells == 2
-    assert row_bytes(full_job.ordered_rows()) == serial_row_bytes(GRID_A)
+    assert row_bytes(full_job.ordered_rows()) == serial_row_bytes(grid, config)
 
 
 # ----------------------------------------------------------------------
