@@ -2,6 +2,7 @@
 
 Every full-system run below is deterministic, so the controller's
 scheduling decisions leave a fingerprint — runtime, IPC, event count,
+a SHA-256 over every completed request's timeline in completion order,
 latency means, every :class:`ControllerStats` counter, per-bank busy
 time, the latency histograms, the number of drain-mode entries, the
 full read/write latency and queue-wait summaries, and every per-core
@@ -19,6 +20,7 @@ Regenerate (only when a schedule change is intended)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -84,6 +86,24 @@ def _sparse(counts) -> dict[str, int]:
     return {str(i): int(c) for i, c in enumerate(counts) if c}
 
 
+def _schedule_hasher(stats):
+    """Wrap ``stats.record`` so every completion feeds a SHA-256 of its
+    ``(req_id, kind, bank, enqueue_ns, start_ns, finish_ns, forwarded)``,
+    in completion order; returns the hash object."""
+    digest = hashlib.sha256()
+    record = stats.record
+
+    def hashing_record(req) -> None:
+        digest.update(
+            f"{req.req_id},{req.kind.value},{req.bank},{req.enqueue_ns!r},"
+            f"{req.start_ns!r},{req.finish_ns!r},{int(req.forwarded)}\n".encode()
+        )
+        record(req)
+
+    stats.record = hashing_record
+    return digest
+
+
 def fingerprint(scheme: str, workload: str, variant: str) -> dict:
     """Run one cell and return its exact schedule fingerprint."""
     mc_kwargs, subarrays, row_buffer, functional = VARIANTS[variant]
@@ -105,9 +125,11 @@ def fingerprint(scheme: str, workload: str, variant: str) -> dict:
         scheme_name=scheme,
         row_buffer=RowBufferModel() if row_buffer else None,
     )
+    schedule = _schedule_hasher(system.controller.stats)
     result = system.run()
     stats = result.controller
     return {
+        "schedule": schedule.hexdigest(),
         "runtime_ns": result.runtime_ns,
         "ipc": result.ipc,
         "events": result.events,
