@@ -25,7 +25,13 @@ __all__ = ["CMPSystem", "SystemResult"]
 
 @dataclass
 class SystemResult:
-    """Everything the evaluation figures need from one run."""
+    """Everything the evaluation figures need from one run.
+
+    ``events`` is the number of DES events fired.  A memory-controller
+    kick counts as an event only when it could act: it is scheduled
+    only after a transition that could let it start work or flip the
+    drain state.
+    """
 
     workload: str
     scheme: str

@@ -135,7 +135,21 @@ class MemoryController:
         self.enable_forwarding = enable_forwarding
         self._read_waiters: deque[Callable[[], None]] = deque()
         self._write_waiters: deque[Callable[[], None]] = deque()
+        # This instant's kick: the engine seq reserved for it, the time
+        # of the reservation, and whether it was filled (scheduled).
         self._kick_scheduled = False
+        self._kick_seq = -1
+        self._kick_time = -1.0
+        self._kick_filled = False
+        # Write-queue occupancy at the kick's last drain refresh (-1:
+        # refresh at the next idle bank).
+        self._drain_occ = -1
+        # Read by _schedule_kick on every transition.
+        self._reads_by_bank = self.read_queue.by_bank
+        self._writes_by_bank = self.write_queue.by_bank
+        self._opportunistic = mc.opportunistic_drain
+        self._drain_hi = mc.drain_high_watermark
+        self._drain_lo = mc.drain_low_watermark
         # Subarray read-under-write (refs [13]/[15]): one extra read port
         # per bank, usable while a write occupies a *different* subarray.
         self.subarrays = config.organization.subarrays_per_bank
@@ -241,7 +255,7 @@ class MemoryController:
                 self._sample_occupancy()
         if self._obs is not None:
             self._trace_depths()
-        self._schedule_kick()
+        self._schedule_kick(req.bank)
         return True
 
     def track_write_occupancy(self) -> TimeSeries:
@@ -314,20 +328,80 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Scheduling engine.
     # ------------------------------------------------------------------
-    def _schedule_kick(self) -> None:
-        """Coalesce same-timestamp kicks into one pass."""
-        if not self._kick_scheduled:
+    def _schedule_kick(self, bank: int | None = None) -> None:
+        """Coalesce same-timestamp kicks into one pass, scheduled only
+        when it can act.
+
+        The first transition of a batch reserves the engine seq that a
+        kick scheduled right away would take.  The kick is filled into
+        that slot by the first transition of the batch after which it
+        could start work or flip the drain state, so every kick that
+        fires does so at the ``(time, seq)`` it would have had anyway,
+        and a kick that could only find nothing to do is never
+        scheduled.  A reservation left unfilled lapses once an event
+        ordered after it fires, as the kick it stands for would have.
+
+        The kick is needed when the transition's ``bank`` is idle and
+        has a pending read, a paused write or a write the policy may
+        issue now; when a drain refresh would flip ``draining`` while
+        some bank is idle (the kick refreshes only then); with subarrays
+        (any kick may serve a read under a write); and for a waiter's
+        submit inside the kick, whose later starts may leave a drain
+        exit pending that this follow-up kick performs.  Only the
+        transition's own bank is examined: after a kick, no other idle
+        bank can start anything before a transition of its own.
+        """
+        sim = self.sim
+        if self._kick_scheduled:
+            if self._kick_filled:
+                return
+            live = sim.now == self._kick_time and sim.seq_now < self._kick_seq
+            needed = False
+        else:
+            live = False
+            # seq_now is the kick's own seq only while the kick runs.
+            needed = sim.seq_now == self._kick_seq
+        if not needed:
+            policy = self.policy
+            if self.subarrays > 1 or (
+                bank is not None
+                and not self.bank_busy[bank]
+                and (
+                    self._reads_by_bank.get(bank)
+                    or self._paused[bank] is not None
+                    or (
+                        (policy.draining or self._opportunistic)
+                        and self._writes_by_bank.get(bank)
+                    )
+                )
+            ):
+                needed = True
+            elif False in self.bank_busy:
+                occ = len(self.write_queue)
+                if policy.draining:
+                    needed = not policy.force_drain and occ <= self._drain_lo
+                else:
+                    needed = policy.force_drain or occ >= self._drain_hi
+        if not live:
             self._kick_scheduled = True
-            self.sim.schedule(0.0, self._kick)
+            self._kick_time = sim.now
+            self._kick_seq = sim.reserve()
+            self._kick_filled = needed
+        elif needed:
+            self._kick_filled = True
+        if needed:
+            sim.fill(self._kick_seq, self._kick)
 
     def _kick(self) -> None:
         """Start work on every bank that can take it, in bank order.
 
         The drain state is refreshed before the first idle bank is
         considered and again after anything that may have changed the
-        queues (a service start runs a core's waiter, which may submit).
-        Refreshing with unchanged inputs is a no-op (the watermarks
-        satisfy lo < hi), so this equals refreshing at every idle bank.
+        queues (a service start runs a core's waiter, which may submit),
+        each time only if the write-queue occupancy (or ``force_drain``)
+        changed since the last refresh.  Refreshing with unchanged
+        inputs is a no-op (the watermarks satisfy lo < hi), so this
+        equals refreshing at every idle bank.
         Each bank that may start something asks ``policy.choose`` — the
         policy's ``select`` minus the refresh just done.  Banks for which
         the answer must be None are skipped: no pending read, and no
@@ -337,11 +411,11 @@ class MemoryController:
         policy = self.policy
         read_queue = self.read_queue
         write_queue = self.write_queue
-        reads = read_queue.by_bank
-        writes = write_queue.by_bank
-        writes_anytime = self.config.memctrl.opportunistic_drain
+        reads = self._reads_by_bank
+        writes = self._writes_by_bank
         bank_busy = self.bank_busy
         paused = self._paused
+        issue_writes = False  # set at the first refresh, before any use
         stale = True
         for bank in range(self.num_banks):
             if bank_busy[bank]:
@@ -360,16 +434,17 @@ class MemoryController:
                 stale = True
                 continue
             if stale:
-                policy.update_drain_state(write_queue)
                 stale = False
-            if not reads.get(bank) and not (
-                (policy.draining or writes_anytime) and writes.get(bank)
-            ):
-                continue
-            req = policy.choose(bank, read_queue, write_queue)
-            if req is not None:
-                self._start_service(bank, req)
-                stale = True
+                occ = len(write_queue)
+                if occ != self._drain_occ:
+                    self._drain_occ = occ
+                    policy.update_drain_state(write_queue)
+                issue_writes = policy.draining or self._opportunistic
+            if reads.get(bank) or (issue_writes and writes.get(bank)):
+                req = policy.choose(bank, read_queue, write_queue)
+                if req is not None:
+                    self._start_service(bank, req)
+                    stale = True
 
     def _start_service(self, bank: int, req: MemRequest) -> None:
         """Dequeue ``req``, free its slot to the oldest stalled core of
@@ -436,7 +511,7 @@ class MemoryController:
         self.stats.record(req)
         if req.on_done is not None:
             req.on_done(req)
-        self._schedule_kick()
+        self._schedule_kick(bank)
 
     # ------------------------------------------------------------------
     # Completion.
@@ -450,7 +525,7 @@ class MemoryController:
             self._trace_complete(bank, req)
         if req.on_done is not None:
             req.on_done(req)
-        self._schedule_kick()
+        self._schedule_kick(bank)
 
     def _complete_forward(self, req: MemRequest) -> None:
         req.start_ns = req.enqueue_ns
@@ -462,6 +537,7 @@ class MemoryController:
     def flush_writes(self) -> None:
         """Drain the write queue unconditionally (end-of-run)."""
         self.policy.force_drain = True
+        self._drain_occ = -1
         self._schedule_kick()
 
     # ------------------------------------------------------------------

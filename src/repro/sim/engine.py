@@ -18,6 +18,12 @@ on this engine.  Design points:
   drain loop unpacks the popped entry without attribute lookups.  A
   full-system run fires one event per FSM transition, so the per-event
   cost is what ``bench/`` reports as ``sim.events_per_s``.
+* **Reserved slots** — :meth:`reserve` takes a sequence number without
+  scheduling; :meth:`fill` later schedules an event *now* under it, so
+  a component can decide late whether an event is needed and still
+  give it the place it would have had.  A filled event that precedes
+  everything on the heap is the next event: it fires in place, with no
+  heap push or pop.
 """
 
 from __future__ import annotations
@@ -75,6 +81,11 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[Event] = []
         self._seq = 0
+        # Seq of the event firing now (the last one fired between runs).
+        self.seq_now = 0
+        # A filled reservation that precedes every heap entry; it fires
+        # before the heap is consulted again.
+        self._next: Event | None = None
         self.events_fired = 0
         # Optional repro.obs.Tracer assigned by the system builder when
         # tracing is enabled; None keeps run() on the untraced fast path.
@@ -102,6 +113,39 @@ class Simulator:
         heappush(self._heap, ev)
         return ev
 
+    def reserve(self) -> int:
+        """Take the next sequence number without scheduling anything.
+
+        It is the seq :meth:`schedule` would have taken now.  An unfilled
+        reservation costs nothing and changes no other event's order."""
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def fill(self, seq: int, fn: Callable, *args) -> Event:
+        """Schedule ``fn(*args)`` now under ``seq`` from :meth:`reserve`.
+
+        The caller guarantees that the reservation was taken at the
+        current time and that nothing ordered after it has fired
+        (``seq_now < seq``), so the event fires exactly where one
+        scheduled at the reservation would have.  When it precedes
+        every heap entry it is the next event — nothing scheduled from
+        now on can come before it — and it is kept off the heap.
+        """
+        ev = Event([self.now, seq, fn, args])
+        heap = self._heap
+        nxt = self._next
+        if nxt is None:
+            if heap and heap[0] < ev:
+                heappush(heap, ev)
+            else:
+                self._next = ev
+        elif nxt < ev:
+            heappush(heap, ev)
+        else:
+            heappush(heap, nxt)
+            self._next = ev
+        return ev
+
     # ------------------------------------------------------------------
     def _trace_event(self, fn: Callable, time: float) -> None:
         self.tracer.instant(
@@ -115,13 +159,21 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next live event.  Returns False when none remain."""
         heap = self._heap
-        while heap:
-            time, _seq, fn, args = heappop(heap)
+        while True:
+            entry = self._next
+            if entry is not None:
+                self._next = None
+            elif heap:
+                entry = heappop(heap)
+            else:
+                return False
+            time, seq, fn, args = entry
             if fn is None:
                 continue
             if time < self.now:  # defensive; cannot happen via the API
                 raise RuntimeError("event time went backwards")
             self.now = time
+            self.seq_now = seq
             self.events_fired += 1
             if self.tracer is not None:
                 self._trace_event(fn, time)
@@ -133,7 +185,6 @@ class Simulator:
                 exc.add_note(f"while firing event at sim time {time} ns")
                 raise
             return True
-        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the event heap, optionally bounded in time or events.
@@ -149,14 +200,22 @@ class Simulator:
         reaches ``events_fired`` when the loop ends, however it ends (a
         callback that raises is counted).  An event past ``until`` is
         pushed back unchanged, so its ``(time, seq)`` keeps its place.
+        A filled reservation waiting in the next-event slot fires before
+        the heap is popped again (see :meth:`fill`).
         """
         heap = self._heap
         traced = self.tracer is not None
         fired = 0
         try:
-            while heap:
-                entry = heappop(heap)
-                time, _seq, fn, args = entry
+            while True:
+                entry = self._next
+                if entry is not None:
+                    self._next = None
+                elif heap:
+                    entry = heappop(heap)
+                else:
+                    break
+                time, seq, fn, args = entry
                 if fn is None:
                     continue
                 if until is not None and time > until:
@@ -164,6 +223,7 @@ class Simulator:
                     self.now = until
                     return
                 self.now = time
+                self.seq_now = seq
                 fired += 1
                 if traced:
                     self._trace_event(fn, time)
@@ -182,4 +242,6 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live events still queued."""
-        return sum(1 for ev in self._heap if ev[2] is not None)
+        nxt = self._next
+        live_next = nxt is not None and nxt[2] is not None
+        return live_next + sum(1 for ev in self._heap if ev[2] is not None)

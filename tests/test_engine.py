@@ -167,3 +167,114 @@ class TestHeapEntries:
         assert fired == ["next"]
         assert sim.events_fired == 1
         assert not sim.step()
+
+
+class _InstantLog:
+    """A stand-in tracer that records the engine's per-event instants."""
+
+    def __init__(self) -> None:
+        self.instants: list[tuple[str, float]] = []
+
+    def instant(self, name, *, ts_ns, pid, tid, cat) -> None:
+        self.instants.append((name, ts_ns))
+
+
+def _reserved_slot_schedule(sim: Simulator, fired: list) -> None:
+    """t=5: a slot reserved before ``after`` is scheduled but filled
+    after it, behind ``before`` (scheduled earlier), so it goes on the
+    heap.  t=7: a slot filled when it is the next event, so it fires in
+    place, still ahead of ``later``."""
+
+    def pushed():
+        fired.append("pushed-reserver")
+        seq = sim.reserve()
+        sim.schedule(0.0, fired.append, "after")
+        sim.fill(seq, fired.append, "pushed-slot")
+
+    def in_place():
+        fired.append("in-place-reserver")
+        seq = sim.reserve()
+        sim.schedule(0.0, fired.append, "later")
+        sim.fill(seq, fired.append, "in-place-slot")
+        assert sim.pending == 2
+
+    sim.schedule(5.0, pushed)
+    sim.schedule(5.0, fired.append, "before")
+    sim.schedule(7.0, in_place)
+
+
+RESERVED_ORDER = [
+    "pushed-reserver", "before", "pushed-slot", "after",
+    "in-place-reserver", "in-place-slot", "later",
+]
+
+
+class TestReservedSlots:
+    def test_filled_slot_fires_at_its_reserved_place(self):
+        sim = Simulator()
+        fired = []
+        _reserved_slot_schedule(sim, fired)
+        sim.run()
+        assert fired == RESERVED_ORDER
+        assert sim.events_fired == 7
+
+    def test_step_fires_the_same_order(self):
+        sim = Simulator()
+        fired = []
+        _reserved_slot_schedule(sim, fired)
+        steps = 0
+        while sim.step():
+            steps += 1
+        assert fired == RESERVED_ORDER
+        assert steps == sim.events_fired == 7
+
+    def test_run_until_fires_the_same_order(self):
+        sim = Simulator()
+        fired = []
+        _reserved_slot_schedule(sim, fired)
+        sim.run(until=5.0)
+        assert fired == RESERVED_ORDER[:4]
+        sim.run(until=6.0)
+        sim.run()
+        assert fired == RESERVED_ORDER
+        assert sim.events_fired == 7
+
+    def test_traced_run_emits_one_instant_per_fired_event(self):
+        sim = Simulator()
+        sim.tracer = log = _InstantLog()
+        fired = []
+        _reserved_slot_schedule(sim, fired)
+        sim.run()
+        assert fired == RESERVED_ORDER
+        assert [ts for _name, ts in log.instants] == [5.0] * 4 + [7.0] * 3
+
+    def test_unfilled_reservation_changes_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.reserve()
+        sim.schedule(1.0, fired.append, "b")
+        sim.run()
+        assert fired == ["a", "b"]
+        assert sim.events_fired == 2
+
+    def test_slot_filled_between_runs_fires_first(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.run()
+        seq = sim.reserve()
+        sim.schedule(0.0, fired.append, "b")
+        slot = sim.fill(seq, fired.append, "slot")
+        assert sim.seq_now < slot.seq
+        sim.run()
+        assert fired == ["a", "slot", "b"]
+
+    def test_cancelled_slot_does_not_fire(self):
+        sim = Simulator()
+        fired = []
+        sim.fill(sim.reserve(), fired.append, "slot").cancel()
+        assert sim.pending == 0
+        sim.run()
+        assert fired == []
+        assert sim.events_fired == 0
