@@ -426,24 +426,33 @@ class SystemConfig:
         default.  So configs saved before the fault and observability
         subsystems load fault-free and untraced (the behavior they were
         recorded under), and a service grid's config delta is a part.
+
+        Every scalar field is type-checked (:class:`ConfigError` on a
+        mismatch), and an integer given for a float field is stored as
+        a float, so ``10`` and ``10.0`` build equal configs with equal
+        :meth:`canonical_json`.
         """
         data = dict(data)
-        # Configs saved while the pump carried these settings (nothing
-        # ever read them) load without them.
-        power = dict(data.pop("power", {}))
-        for stale in ("gcp_enabled", "pump_voltage_v", "pump_current_ma"):
-            power.pop(stale, None)
+        power = data.get("power")
+        if isinstance(power, dict):
+            # Configs saved while the pump carried these settings
+            # (nothing ever read them) load without them.
+            stale = ("gcp_enabled", "pump_voltage_v", "pump_current_ma")
+            data["power"] = {k: v for k, v in power.items() if k not in stale}
         if "caches" in data:
-            data["caches"] = tuple(CacheConfig(**c) for c in data["caches"])
+            data["caches"] = tuple(
+                CacheConfig(**_typed(CacheConfig, c)) for c in data["caches"]
+            )
         sections = {
-            name: kind(**data.pop(name, {}))
+            name: kind(**_typed(kind, data.pop(name, {})))
             for name, kind in (
-                ("timings", PCMTimings), ("organization", PCMOrganization),
+                ("timings", PCMTimings), ("power", PCMPower),
+                ("organization", PCMOrganization),
                 ("cpu", CPUConfig), ("memctrl", MemCtrlConfig),
                 ("faults", FaultConfig), ("trace", TraceConfig),
             )
         }
-        return SystemConfig(power=PCMPower(**power), **sections, **data)
+        return SystemConfig(**sections, **_typed(SystemConfig, data))
 
     def to_json(self) -> str:
         import json
@@ -469,6 +478,34 @@ class SystemConfig:
         import json
 
         return SystemConfig.from_dict(json.loads(text))
+
+
+_SCALARS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _typed(kind, values: dict) -> dict:
+    """``values`` for dataclass ``kind``, each scalar field checked
+    against its annotation; ints for float fields become floats.  Other
+    fields (sections, unknown names) pass through to the constructor."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{kind.__name__} must be an object, got {values!r}")
+    types = {f.name: f.type for f in dataclasses.fields(kind)}
+    out = dict(values)
+    for name, value in out.items():
+        expected = types.get(name)
+        accepted = _SCALARS.get(expected)
+        if accepted is None:
+            continue
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and expected != "bool"
+        ):
+            raise ConfigError(
+                f"{kind.__name__}.{name} must be {expected}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+        if expected == "float":
+            out[name] = float(value)
+    return out
 
 
 def default_config(**overrides) -> SystemConfig:

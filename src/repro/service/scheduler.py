@@ -357,7 +357,10 @@ class Scheduler:
                 job.errors[index] = outcome
             else:
                 job.rows[index] = outcome
-            self._emit(job, "progress")
+            # The cell that finishes a job is reported by "done" alone,
+            # so no frame says "running" with every cell done.
+            if job.done < job.total:
+                self._emit(job, "progress")
             self._finish_if_done(job)
 
     def _finish_if_done(self, job: Job) -> None:

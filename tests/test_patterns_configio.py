@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import (
+    ConfigError,
     CPUConfig,
     MemCtrlConfig,
     PCMOrganization,
@@ -93,6 +94,23 @@ class TestConfigSerialization:
         text = (FIXTURES / "config_with_pump_settings.json").read_text()
         assert "pump_voltage_v" in text
         assert SystemConfig.from_json(text) == default_config()
+
+    @pytest.mark.parametrize("delta", [
+        {"memctrl": {"write_pausing": "yes"}},
+        {"memctrl": {"read_queue_entries": 32.0}},
+        {"cpu": {"freq_ghz": True}},
+        {"trace": {"clock": 1}},
+        {"caches": [["L1I"]]},
+        {"seed": "1"},
+    ], ids=["bool", "int", "float", "str", "cache-level", "top-level"])
+    def test_from_dict_rejects_a_field_of_the_wrong_type(self, delta):
+        with pytest.raises(ConfigError):
+            SystemConfig.from_dict(delta)
+
+    def test_from_dict_stores_an_int_for_a_float_field_as_a_float(self):
+        cfg = SystemConfig.from_dict({"memctrl": {"pause_overhead_ns": 10}})
+        assert type(cfg.memctrl.pause_overhead_ns) is float
+        assert cfg.canonical_json() == default_config().canonical_json()
 
     def test_json_is_sorted_and_readable(self):
         text = default_config().to_json()

@@ -415,6 +415,18 @@ class TestGridConfig:
         plain = [pc.cache_key for pc in GridSpec.from_dict(GRID_A).plan(cache=cache)]
         assert set(keys).isdisjoint(plain)
 
+    def test_an_int_for_a_float_field_plans_the_keys_of_the_float(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+
+        def keys(value):
+            delta = {"memctrl": {"write_pausing": True, "pause_overhead_ns": value}}
+            spec = GridSpec.from_dict(dict(GRID_A, config=delta))
+            return [pc.cache_key for pc in spec.plan(cache=cache)]
+
+        assert keys(10) == keys(10.0)
+
     @pytest.mark.parametrize("config", [
         {"nosuch": {"x": 1}},
         {"memctrl": {"nosuch": 1}},
@@ -422,9 +434,10 @@ class TestGridConfig:
         {"memctrl": {"drain_order": "lifo"}},
         {"memctrl": True},
         {"power": [1]},
+        {"memctrl": {"write_pausing": "yes"}},
         "pausing",
     ], ids=["section", "field", "value", "choice", "section-type",
-            "power-type", "not-object"])
+            "power-type", "field-type", "not-object"])
     def test_rejects_a_bad_delta_as_bad_grid(self, config):
         from repro.service.protocol import E_BAD_GRID
 
@@ -806,6 +819,9 @@ def test_watch_streams_progress_to_done(tmp_path, monkeypatch):
     dones = [e["done"] for e in events if e.get("event") != "snapshot"]
     assert dones == sorted(dones)  # progress is monotone
     assert all("counters" in e for e in events[1:])
+    # Only the "done" frame reports every cell done.
+    assert [e["event"] for e in events if e["done"] == e["total"]] == ["done"]
+    assert all(e["state"] == "running" for e in events[1:-1])
     assert row_bytes(status["rows"]) == serial_row_bytes(GRID_SMALL)
 
 
