@@ -144,10 +144,12 @@ class MemoryController:
         # Write-queue occupancy at the kick's last drain refresh (-1:
         # refresh at the next idle bank).
         self._drain_occ = -1
-        # Read by _schedule_kick on every transition.
+        # Read by _schedule_kick on every transition.  With subarrays
+        # any kick may serve a read under a write, so each is scheduled.
         self._reads_by_bank = self.read_queue.by_bank
         self._writes_by_bank = self.write_queue.by_bank
         self._opportunistic = mc.opportunistic_drain
+        self._always_kick = config.organization.subarrays_per_bank > 1
         self._drain_hi = mc.drain_high_watermark
         self._drain_lo = mc.drain_low_watermark
         # Subarray read-under-write (refs [13]/[15]): one extra read port
@@ -356,14 +358,14 @@ class MemoryController:
             if self._kick_filled:
                 return
             live = sim.now == self._kick_time and sim.seq_now < self._kick_seq
-            needed = False
+            needed = self._always_kick
         else:
             live = False
-            # seq_now is the kick's own seq only while the kick runs.
-            needed = sim.seq_now == self._kick_seq
+            # seq_now is the kick's own seq while the kick runs.
+            needed = self._always_kick or sim.seq_now == self._kick_seq
         if not needed:
             policy = self.policy
-            if self.subarrays > 1 or (
+            if (
                 bank is not None
                 and not self.bank_busy[bank]
                 and (

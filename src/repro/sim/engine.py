@@ -133,16 +133,12 @@ class Simulator:
         """
         ev = Event([self.now, seq, fn, args])
         heap = self._heap
-        nxt = self._next
-        if nxt is None:
-            if heap and heap[0] < ev:
-                heappush(heap, ev)
-            else:
-                self._next = ev
-        elif nxt < ev:
+        if self._next is not None:  # one slot: the heap orders the rest
+            heappush(heap, self._next)
+            self._next = None
+        if heap and heap[0] < ev:
             heappush(heap, ev)
         else:
-            heappush(heap, nxt)
             self._next = ev
         return ev
 

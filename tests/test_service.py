@@ -786,7 +786,7 @@ def test_watch_streams_progress_to_done(tmp_path, monkeypatch):
         server = await svc.serve_unix(tmp_path / "w.sock")
         try:
             accepted = await rpc(
-                tmp_path / "w.sock", submit_frame("alice", GRID_SMALL)
+                tmp_path / "w.sock", submit_frame("alice", GRID_C)
             )
             reader, writer = await asyncio.open_unix_connection(
                 str(tmp_path / "w.sock")
@@ -819,10 +819,12 @@ def test_watch_streams_progress_to_done(tmp_path, monkeypatch):
     dones = [e["done"] for e in events if e.get("event") != "snapshot"]
     assert dones == sorted(dones)  # progress is monotone
     assert all("counters" in e for e in events[1:])
-    # Only the "done" frame reports every cell done.
-    assert [e["event"] for e in events if e["done"] == e["total"]] == ["done"]
-    assert all(e["state"] == "running" for e in events[1:-1])
-    assert row_bytes(status["rows"]) == serial_row_bytes(GRID_SMALL)
+    # Two cells: one "progress" frame, then the "done" frame, the only
+    # one that reports every cell done.
+    assert [(e["event"], e["state"], e["done"]) for e in events[1:]] == [
+        ("progress", "running", 1), ("done", "done", 2),
+    ]
+    assert row_bytes(status["rows"]) == serial_row_bytes(GRID_C)
 
 
 def test_status_summary_reports_tenants_and_counters(tmp_path):
