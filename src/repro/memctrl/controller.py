@@ -136,11 +136,13 @@ class MemoryController:
         self._read_waiters: deque[Callable[[], None]] = deque()
         self._write_waiters: deque[Callable[[], None]] = deque()
         # This instant's kick: the engine seq reserved for it, the time
-        # of the reservation, and whether it was filled (scheduled).
+        # of the reservation, whether it was filled (scheduled), and the
+        # first bank it must visit.
         self._kick_scheduled = False
         self._kick_seq = -1
         self._kick_time = -1.0
         self._kick_filled = False
+        self._kick_from = 0
         # Write-queue occupancy at the kick's last drain refresh (-1:
         # refresh at the next idle bank).
         self._drain_occ = -1
@@ -351,11 +353,14 @@ class MemoryController:
         submit inside the kick, whose later starts may leave a drain
         exit pending that this follow-up kick performs.  Only the
         transition's own bank is examined: after a kick, no other idle
-        bank can start anything before a transition of its own.
+        bank can start anything before a transition of its own.  For the
+        same reason a kick needed by one bank's transition alone starts
+        its pass at that bank; any other need makes it visit every bank.
         """
         sim = self.sim
         if self._kick_scheduled:
             if self._kick_filled:
+                self._kick_from = 0
                 return
             live = sim.now == self._kick_time and sim.seq_now < self._kick_seq
             needed = self._always_kick
@@ -363,6 +368,7 @@ class MemoryController:
             live = False
             # seq_now is the kick's own seq while the kick runs.
             needed = self._always_kick or sim.seq_now == self._kick_seq
+        start = 0
         if not needed:
             policy = self.policy
             if (
@@ -378,6 +384,7 @@ class MemoryController:
                 )
             ):
                 needed = True
+                start = bank
             elif False in self.bank_busy:
                 occ = len(self.write_queue)
                 if policy.draining:
@@ -392,10 +399,12 @@ class MemoryController:
         elif needed:
             self._kick_filled = True
         if needed:
+            self._kick_from = start
             sim.fill(self._kick_seq, self._kick)
 
     def _kick(self) -> None:
-        """Start work on every bank that can take it, in bank order.
+        """Start work on every bank that can take it, in bank order,
+        from the first bank that may (``_kick_from``).
 
         The drain state is refreshed before the first idle bank is
         considered and again after anything that may have changed the
@@ -419,7 +428,7 @@ class MemoryController:
         paused = self._paused
         issue_writes = False  # set at the first refresh, before any use
         stale = True
-        for bank in range(self.num_banks):
+        for bank in range(self._kick_from, self.num_banks):
             if bank_busy[bank]:
                 if self.subarrays > 1:
                     self._try_read_under_write(bank)
