@@ -41,7 +41,8 @@ from tests.test_des_golden import VARIANTS
 
 
 class HeapKickController(MemoryController):
-    """Every kick is a heap event, whether or not it can act."""
+    """Every kick is a heap event, whether or not it can act, and visits
+    every bank (``_kick_from`` keeps its initial 0)."""
 
     def _schedule_kick(self, bank: int | None = None) -> None:
         if not self._kick_scheduled:
