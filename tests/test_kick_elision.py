@@ -41,8 +41,7 @@ from tests.test_des_golden import VARIANTS
 
 
 class HeapKickController(MemoryController):
-    """Every kick is a heap event, whether or not it can act, and visits
-    every bank (``_kick_from`` keeps its initial 0)."""
+    """Every kick is a heap event, whether or not it can act."""
 
     def _schedule_kick(self, bank: int | None = None) -> None:
         if not self._kick_scheduled:
@@ -116,16 +115,20 @@ ZERO_GAP_CELLS = [
 ]
 
 
-def _run_system(controller_cls, scheme, workload, variant) -> dict:
-    """One full-system run on a trace with four gaps in five set to 0."""
+def _run_system(
+    controller_cls, scheme, workload, variant,
+    *, requests_per_core=150, seed=3, zero_gaps=True,
+) -> dict:
+    """One full-system run; ``zero_gaps`` sets four gaps in five to 0."""
     mc_kwargs, subarrays, row_buffer, functional = VARIANTS[variant]
     config = default_config().replace(
         memctrl=MemCtrlConfig(**mc_kwargs),
         organization=PCMOrganization(subarrays_per_bank=subarrays),
     )
-    trace = generate_trace(workload, requests_per_core=150, seed=3)
-    gaps = trace.records["gap"]
-    gaps[np.arange(len(gaps)) % 5 != 0] = 0
+    trace = generate_trace(workload, requests_per_core=requests_per_core, seed=seed)
+    if zero_gaps:
+        gaps = trace.records["gap"]
+        gaps[np.arange(len(gaps)) % 5 != 0] = 0
     if functional:
         service = FunctionalServiceModel(trace, scheme, config)
     else:
@@ -171,4 +174,18 @@ def test_zero_gap_traces_keep_every_request_time(scheme, workload, variant):
     reference = _run_system(HeapKickController, scheme, workload, variant)
     production = _run_system(MemoryController, scheme, workload, variant)
     assert len(production["times"]) == 4 * 150
+    _assert_same_schedule(production, reference)
+
+
+def test_a_kick_visits_every_bank_under_write_pausing():
+    """A kick that began its pass at a paused bank skipped the drain
+    refresh at an idle bank before it: the paused bank is served without
+    one, so a pending drain exit waited and writes issued in drain mode
+    that should have waited.  On this cell 515 requests moved and the
+    pauses rose from 155 to 163."""
+    run = {"requests_per_core": 200, "seed": 20160816, "zero_gaps": False}
+    reference = _run_system(
+        HeapKickController, "tetris", "ferret", "pausing", **run
+    )
+    production = _run_system(MemoryController, "tetris", "ferret", "pausing", **run)
     _assert_same_schedule(production, reference)
