@@ -3,16 +3,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint verify oracle bench faults trace all
+.PHONY: test lint oracle bench faults trace all
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
 
 lint:            ## simulator-aware static analysis (docs/SIMLINT.md)
 	$(PYTHON) -m simlint src/ tests/ benchmarks/ examples/ tools/
-
-verify:          ## test suite with runtime invariant checking armed
-	REPRO_VERIFY=1 $(PYTHON) -m pytest -x -q
 
 oracle:          ## differential + metamorphic oracle run (docs/ORACLE.md)
 	$(PYTHON) -m repro.cli oracle --cases 2000

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import SystemConfig
-from repro.trace.record import Trace
 from repro.trace.workloads import WORKLOAD_NAMES
 
 __all__ = ["ExperimentResult", "run_schemes_on_workloads", "BASELINE_SCHEME"]
@@ -67,7 +66,6 @@ def run_schemes_on_workloads(
     config: SystemConfig | None = None,
     requests_per_core: int = 4000,
     seed: int = 20160816,
-    traces: dict[str, Trace] | None = None,
     workers: int = 1,
     cache: object | None = None,
     cache_dir: str | Path | None = None,
@@ -90,7 +88,6 @@ def run_schemes_on_workloads(
         workers=workers,
         cache=cache,
         cache_dir=cache_dir,
-        traces=traces,
     )
     sweep = engine.run(tuple(schemes), tuple(workloads))
     sweep.raise_errors()

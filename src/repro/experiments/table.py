@@ -73,15 +73,17 @@ class Context:
     def grid(self) -> dict[tuple[str, str], ExperimentResult]:
         """The workload x :data:`SCHEMES` grid behind Figs 11-14.
 
-        Built on first use through the sweep engine: cells fan out over
+        Built on first use through the sweep engine, which plans every
+        cell from the context's length and seed, so a sweep of the same
+        coordinates shares its cache entries: cells fan out over
         ``workers`` processes and replay from the on-disk result cache
         when warm (rows are bit-identical either way; REPRO_NO_CACHE=1
         forces cold runs).
         """
         rows = run_schemes_on_workloads(
-            SCHEMES, tuple(self.traces), config=self.config,
+            SCHEMES, WORKLOAD_NAMES, config=self.config,
             requests_per_core=self.requests_per_core, seed=self.seed,
-            traces=self.traces, workers=self.workers,
+            workers=self.workers,
         )
         return {(r.workload, r.scheme): r for r in rows}
 

@@ -57,16 +57,10 @@ class FastpathEnvelopeError(ValueError):
         )
 
 
-def classify(
-    config: SystemConfig, scheme: str, *, supplied_trace: bool = False
-) -> EnvelopeDecision:
+def classify(config: SystemConfig, scheme: str) -> EnvelopeDecision:
     """Decide whether one (config, scheme) cell is analytically priceable.
 
-    Every registered scheme is priced, so only the configuration and the
-    trace's origin decide.  ``supplied_trace`` marks cells running
-    user-supplied trace files: the pricer itself handles any record
-    stream, but the oracle corpus that certifies it only covers the
-    synthetic generators, so supplied traces stay on the DES lane.
+    Every registered scheme is priced, so only the configuration decides.
     """
     reasons: list[str] = []
 
@@ -74,8 +68,6 @@ def classify(
         reasons.append("faults-enabled")
     if config.trace.enabled:
         reasons.append("obs-tracing-enabled")
-    if supplied_trace:
-        reasons.append("supplied-trace")
 
     mc = config.memctrl
     if mc.write_pausing:

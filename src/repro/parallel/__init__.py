@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`~repro.parallel.engine.SweepEngine` — fan the (scheme x
-  workload x seed x config-variant) grid over supervised worker
+  workload x seed) grid under one config over supervised worker
   processes, with deterministic seeding, structured failure capture,
   and checkpoint/resume.
 * :class:`~repro.parallel.supervisor.WorkerSupervisor` — the supervised

@@ -1,8 +1,8 @@
 """Parallel experiment engine: fan the evaluation grid over processes.
 
 The paper's evaluation (Figs 11-14, Table III) is a grid of independent
-full-system DES runs — a (scheme x workload x seed x config-variant)
-product where no cell reads another cell's output.  That shape is
+full-system DES runs — a (scheme x workload x seed) product under one
+configuration, where no cell reads another cell's output.  That shape is
 embarrassingly parallel, and :class:`SweepEngine` exploits it:
 
 * **Supervised multiprocess fan-out** — cells are distributed over the
@@ -20,9 +20,9 @@ embarrassingly parallel, and :class:`SweepEngine` exploits it:
 * **Per-worker trace reuse** — a worker generates each workload's trace
   once (bounded ``lru_cache``) and reuses it for every scheme cell it
   services, instead of regenerating per cell.
-* **Result caching** — cells are content-addressed in the on-disk
-  :class:`~repro.parallel.resultcache.ResultCache`; hits skip trace
-  generation and the DES entirely.
+* **Result caching** — cells are addressed by their coordinates and the
+  config in the on-disk :class:`~repro.parallel.resultcache.ResultCache`;
+  hits skip trace generation and the DES entirely.
 * **Resume** — every finished cell is an atomic, digest-checked cache
   entry, so re-running a crashed sweep on the same cache re-executes
   only the cells that had not finished.  An attached
@@ -134,7 +134,7 @@ class SweepCell:
     workload: str
     scheme: str
     seed: int
-    variant: str = "default"
+    variant: str = "default"   # always "default"; kept for stored rows
 
 
 @dataclass(frozen=True)
@@ -391,16 +391,12 @@ def execute_cell_payload(payload: tuple):
         variant,
         requests_per_core,
         config_json,
-        trace,
         lane,
     ) = payload
     try:
         _chaos_inject(workload, scheme)
         config = _config_from_json(config_json)
-        if trace is None:
-            trace = _trace_for(
-                workload, requests_per_core, config.cpu.num_cores, seed
-            )
+        trace = _trace_for(workload, requests_per_core, config.cpu.num_cores, seed)
         if lane == "fastpath":
             return idx, _execute_cell_fastpath(trace, workload, scheme, config)
         return idx, _execute_cell(trace, workload, scheme, config)
@@ -532,7 +528,7 @@ def cell_meta(cell: SweepCell, lane: str, salt: str) -> dict:
 # The engine.
 # ----------------------------------------------------------------------
 class SweepEngine:
-    """Run (scheme x workload x seed x variant) grids, parallel + cached.
+    """Run (scheme x workload x seed) grids under one config, parallel + cached.
 
     Re-running a grid against the same cache re-executes only the cells
     it does not hold yet, which is how a crashed sweep resumes.
@@ -540,13 +536,10 @@ class SweepEngine:
     Parameters
     ----------
     config:
-        Base :class:`SystemConfig`; defaults to the paper's Table II.
-    variants:
-        Optional named config variants (``{name: SystemConfig}``) adding
-        a fourth grid axis; ``None`` runs only the base config under the
-        variant name ``"default"``.
+        The :class:`SystemConfig` every cell runs under; defaults to the
+        paper's Table II.
     requests_per_core:
-        Synthetic trace length per core (ignored for supplied traces).
+        Synthetic trace length per core.
     root_seed:
         Trace seed for single-seed grids, and the root that
         :func:`derive_cell_seeds` expands for replicated-seed grids.
@@ -561,10 +554,6 @@ class SweepEngine:
     cache_dir:
         Store location override (default: ``REPRO_CACHE_DIR`` or
         ``~/.cache/tetris-write/results``).
-    traces:
-        Optional pre-built traces (``{workload: Trace}``); matching
-        workloads skip synthetic generation and are content-fingerprinted
-        for cache keying.
     journal:
         Optional cache-independent checkpoint: a :class:`SweepJournal`,
         or a path to create one at.  Every completed cell is durably
@@ -598,13 +587,11 @@ class SweepEngine:
         self,
         *,
         config: SystemConfig | None = None,
-        variants: dict[str, SystemConfig] | None = None,
         requests_per_core: int = 4000,
         root_seed: int = 20160816,
         workers: int = 1,
         cache: object | None = None,
         cache_dir: str | Path | None = None,
-        traces: dict[str, Trace] | None = None,
         journal: SweepJournal | str | Path | None = None,
         retry: RetryPolicy | None = None,
         cell_deadline_s: float | None = None,
@@ -621,11 +608,9 @@ class SweepEngine:
         if not 0.0 <= recheck_fraction <= 1.0:
             raise ValueError("recheck_fraction must be in [0, 1]")
         self.base_config = config if config is not None else default_config()
-        self.variants = dict(variants) if variants else {"default": self.base_config}
         self.requests_per_core = int(requests_per_core)
         self.root_seed = int(root_seed)
         self.workers = int(workers)
-        self.traces = dict(traces) if traces else {}
         self.cache = self._resolve_cache(cache, cache_dir)
         if journal is None or isinstance(journal, SweepJournal):
             self.journal = journal
@@ -659,8 +644,8 @@ class SweepEngine:
         seeds: int | tuple[int, ...] | None = None,
     ) -> list[SweepCell]:
         """Enumerate cells in the deterministic grid order rows use:
-        variant-major, then seed, then workload, with schemes innermost
-        (the order the serial runner produced)."""
+        seed-major, then workload, with schemes innermost (the order the
+        serial runner produced)."""
         if seeds is None:
             seed_list: tuple[int, ...] = (self.root_seed,)
         elif isinstance(seeds, int):
@@ -668,50 +653,42 @@ class SweepEngine:
         else:
             seed_list = tuple(int(s) for s in seeds)
         return [
-            SweepCell(workload=w, scheme=s, seed=seed, variant=v)
-            for v in self.variants
+            SweepCell(workload=w, scheme=s, seed=seed)
             for seed in seed_list
             for w in workloads
             for s in schemes
         ]
 
-    def _trace_key(self, cell: SweepCell, config: SystemConfig) -> str:
-        """Cache-key component identifying the cell's trace.
-
-        Supplied traces hash their full content; synthetic ones are
-        identified by their generation coordinates (the generator itself
-        is covered by the cache's code salt).
-        """
-        trace = self.traces.get(cell.workload)
-        if trace is not None:
-            return f"content:{trace.fingerprint()}"
+    def _trace_key(self, cell: SweepCell) -> str:
+        """Cache-key component identifying the cell's trace by its
+        generation coordinates (the generator itself is covered by the
+        cache's code salt)."""
         return (
             f"synthetic:{cell.workload}:{self.requests_per_core}:"
-            f"{config.cpu.num_cores}:{cell.seed}"
+            f"{self.base_config.cpu.num_cores}:{cell.seed}"
         )
 
     def _salt(self) -> str:
         """Code-version salt shared by cache and journal addressing."""
         return self.cache.salt if self.cache is not None else code_salt()
 
-    def _lane_for(self, cell: SweepCell) -> tuple[str, tuple[str, ...]]:
-        """Assign a cell's execution lane under the ``fastpath`` policy.
+    def _lane(self, first: SweepCell) -> tuple[str, tuple[str, ...]]:
+        """Assign the grid's execution lane under the ``fastpath`` policy.
 
-        Returns ``(lane, reasons)``; ``reasons`` explains a DES routing
-        (empty for fastpath cells) and lands in the run certificate.
+        The envelope reads only the config, so one decision holds for
+        every cell.  Returns ``(lane, reasons)``; ``reasons`` explains a
+        DES routing (empty for the fastpath lane) and lands in the run
+        certificate.  Under ``force`` the error names ``first``, the
+        grid's first cell.
         """
         if self.fastpath == "off":
             return "des", ("fastpath-off",)
-        decision = classify(
-            self.variants[cell.variant],
-            cell.scheme,
-            supplied_trace=cell.workload in self.traces,
-        )
+        decision = classify(self.base_config, first.scheme)
         if decision.inside:
             return "fastpath", ()
         if self.fastpath == "force":
             raise FastpathEnvelopeError(
-                cell.scheme, cell.workload, decision.reasons
+                first.scheme, first.workload, decision.reasons
             )
         return "des", decision.reasons
 
@@ -720,7 +697,7 @@ class SweepEngine:
             return None
         return self.cache.cell_key(
             config_json=config_json,
-            trace_key=self._trace_key(cell, self.variants[cell.variant]),
+            trace_key=self._trace_key(cell),
             scheme=cell.scheme,
             lane=lane,
         )
@@ -728,7 +705,7 @@ class SweepEngine:
     def _journal_key(self, cell: SweepCell, config_json: str, lane: str) -> str:
         return journal_cell_key(
             config_json=config_json,
-            trace_key=self._trace_key(cell, self.variants[cell.variant]),
+            trace_key=self._trace_key(cell),
             scheme=cell.scheme,
             salt=self._salt(),
             lane=lane,
@@ -758,35 +735,31 @@ class SweepEngine:
         dedup, caching, and results are bit-identical to a serial run.
         """
         cells = self.grid(tuple(schemes), tuple(workloads), seeds=seeds)
-        config_json = {
-            name: cfg.canonical_json() for name, cfg in self.variants.items()
-        }
-        planned: list[PlannedCell] = []
-        for idx, cell in enumerate(cells):
-            cfg = config_json[cell.variant]
-            lane, reasons = self._lane_for(cell)
-            planned.append(
-                PlannedCell(
-                    index=idx,
-                    cell=cell,
-                    payload=(
-                        idx,
-                        cell.workload,
-                        cell.scheme,
-                        cell.seed,
-                        cell.variant,
-                        self.requests_per_core,
-                        cfg,
-                        self.traces.get(cell.workload),
-                        lane,
-                    ),
-                    cache_key=self._cache_key(cell, cfg, lane),
-                    journal_key=self._journal_key(cell, cfg, lane),
-                    lane=lane,
-                    lane_reasons=reasons,
-                )
+        if not cells:
+            return []
+        cfg = self.base_config.canonical_json()
+        lane, reasons = self._lane(cells[0])
+        return [
+            PlannedCell(
+                index=idx,
+                cell=cell,
+                payload=(
+                    idx,
+                    cell.workload,
+                    cell.scheme,
+                    cell.seed,
+                    cell.variant,
+                    self.requests_per_core,
+                    cfg,
+                    lane,
+                ),
+                cache_key=self._cache_key(cell, cfg, lane),
+                journal_key=self._journal_key(cell, cfg, lane),
+                lane=lane,
+                lane_reasons=reasons,
             )
-        return planned
+            for idx, cell in enumerate(cells)
+        ]
 
     # ------------------------------------------------------------------
     def run(

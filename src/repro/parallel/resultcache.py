@@ -1,15 +1,14 @@
 """Content-addressed on-disk cache for experiment-grid cells.
 
-Every (scheme x workload x seed x config) cell of a sweep is a pure
+Every (scheme x workload x seed) cell of a sweep under its config is a pure
 function of its inputs, so its :class:`~repro.experiments.runner.
 ExperimentResult` can be cached on disk and replayed on the next
 invocation without touching the DES.  The key design points:
 
 * **Content addressing** — a cell's key is the SHA-256 of the
   canonicalized :class:`~repro.config.SystemConfig` JSON, the trace key
-  (either a content fingerprint for user-supplied traces or the full
-  synthetic-generation coordinates), the scheme name, and a code-version
-  salt.  Anything that can change the simulated result changes the key.
+  (the trace's synthetic-generation coordinates), the scheme name, the
+  lane and a code-version salt.  Anything that can change the simulated result changes the key.
 * **Code-version salt** — the salt hashes every ``*.py`` file of the
   installed ``repro`` package, so editing any simulator source
   invalidates the whole store automatically; no manual version bumps,

@@ -23,7 +23,6 @@ them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,21 +93,6 @@ class Trace:
             1000.0 * self.n_reads / total_instr,
             1000.0 * self.n_writes / total_instr,
         )
-
-    def fingerprint(self) -> str:
-        """Content hash identifying this trace for result caching.
-
-        Two traces with the same fingerprint drive bit-identical
-        simulations: the hash covers every request record, every write's
-        bit-change profile, and the geometry (``units_per_line``).  The
-        workload label and seed are included so differently-provenanced
-        traces never alias even if their payloads collide structurally.
-        """
-        h = hashlib.sha256()
-        h.update(f"{self.workload}\x00{self.seed}\x00{self.units_per_line}\x00".encode())
-        h.update(np.ascontiguousarray(self.records).tobytes())
-        h.update(np.ascontiguousarray(self.write_counts).tobytes())
-        return h.hexdigest()
 
     def mean_bit_profile(self) -> tuple[float, float]:
         """Average (SET, RESET) cells per data unit across all writes —

@@ -18,6 +18,8 @@ from repro.experiments.runner import (
     BASELINE_SCHEME,
     run_schemes_on_workloads,
 )
+from repro.experiments.table import SCHEMES, Context
+from repro.parallel import SweepEngine
 from repro.trace.synthetic import generate_trace
 
 
@@ -114,12 +116,19 @@ class TestRunner:
         norm = base.normalized(base)
         assert all(v == pytest.approx(1.0) for v in norm.values())
 
-    def test_trace_reuse(self):
-        trace = generate_trace("dedup", 200, seed=5)
-        results = run_schemes_on_workloads(
-            ("dcw",), ("dedup",), traces={"dedup": trace}
-        )
-        assert results[0].workload == "dedup"
+    def test_report_grid_and_sweep_share_cache_entries(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seed = 20160816
+        grid = Context.build(200, seed).grid
+        sweep = SweepEngine(
+            requests_per_core=200, root_seed=seed, fastpath="off"
+        ).run(SCHEMES)
+        assert len(grid) == sweep.stats.cells == 40
+        assert sweep.stats.executed == 0
+        assert {(r.workload, r.scheme): r for r in sweep.rows} == grid
 
 
 class TestAblations:

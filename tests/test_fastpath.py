@@ -2,9 +2,9 @@
 
 The load-bearing guarantees (ISSUE 9):
 
-* the envelope routes every unverified regime (faults, ablation knobs,
-  supplied traces) to the DES, and ``force`` raises a structured error
-  instead of silently pricing outside it;
+* the envelope routes every unverified regime (faults, ablation knobs)
+  to the DES, and ``force`` raises a structured error instead of
+  silently pricing outside it;
 * ``fastpath="off"`` keeps rows byte-identical to the pre-fastpath
   engine, and the vectorized bit kernels are bit-identical to their
   pure-Python references;
@@ -99,11 +99,6 @@ def test_each_unverified_regime_routes_to_des(nested, reason):
     assert reason in decision.reasons
 
 
-def test_supplied_trace_routes_to_des():
-    decision = classify(default_config(), "tetris", supplied_trace=True)
-    assert decision.reasons == ("supplied-trace",)
-
-
 def test_reasons_accumulate():
     cfg = _cfg(
         faults={"enabled": True},
@@ -123,7 +118,8 @@ def test_forced_fastpath_outside_envelope_is_a_structured_error():
         fastpath="force",
     )
     with pytest.raises(FastpathEnvelopeError) as exc:
-        eng.plan(("tetris",), ("dedup",))
+        eng.plan(("tetris", "dcw"), ("dedup", "vips"))
+    # The error names the grid's first cell.
     assert exc.value.scheme == "tetris"
     assert exc.value.workload == "dedup"
     assert "faults-enabled" in exc.value.reasons

@@ -98,7 +98,7 @@ print(json.dumps([dataclasses.asdict(r) for r in res.rows]))
 
 
 def _fresh_process_rows(config) -> list[dict]:
-    """One variant's rows from a sweep in a new interpreter."""
+    """One config's rows from a sweep in a new interpreter."""
     code = _FRESH_SWEEP.format(
         requests=REQUESTS, schemes=SCHEMES, workloads=("dedup",)
     )
@@ -113,17 +113,15 @@ def _fresh_process_rows(config) -> list[dict]:
     return json.loads(proc.stdout)
 
 
-def test_variant_sweep_on_one_worker_gets_fresh_process_rows():
-    # One workload, so every variant's cells model the same cached
-    # ``Trace`` object back to back.
-    configs = _configs()
-    res = SweepEngine(
-        variants=configs, requests_per_core=REQUESTS, cache=False,
-        fastpath="force", recheck_fraction=0.0, workers=1,
-    ).run(SCHEMES, ("dedup",))
-    res.raise_errors()
-    per_variant = len(SCHEMES)
-    rows = [dataclasses.asdict(r) for r in res.rows]
-    for i, config in enumerate(configs.values()):
-        got = rows[i * per_variant : (i + 1) * per_variant]
-        assert got == _fresh_process_rows(config)
+def test_sweeps_of_several_configs_in_one_process_get_fresh_process_rows():
+    # One engine per config, one after another in this process, on one
+    # workload: every config's cells model the same cached ``Trace``
+    # object back to back.
+    for config in _configs().values():
+        res = SweepEngine(
+            config=config, requests_per_core=REQUESTS, cache=False,
+            fastpath="force", recheck_fraction=0.0, workers=1,
+        ).run(SCHEMES, ("dedup",))
+        res.raise_errors()
+        rows = [dataclasses.asdict(r) for r in res.rows]
+        assert rows == _fresh_process_rows(config)
