@@ -13,7 +13,9 @@ with zero-instruction gaps under every golden controller variant.  A
 zero gap makes a core issue its next record at the same instant,
 under a seq taken after the kick's reservation, so a needed kick that
 took a fresh seq instead of its reserved one would fire after that
-record rather than before it.
+record rather than before it.  One more full-system cell keeps its
+trace's own gaps under write pausing, where a kick that skipped the
+banks before the one that asked for it moved requests.
 """
 
 from __future__ import annotations
