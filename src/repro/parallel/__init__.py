@@ -5,7 +5,8 @@ Public surface:
 * :class:`~repro.parallel.engine.SweepEngine` — fan the (scheme x
   workload x seed) grid under one config over supervised worker
   processes, with deterministic seeding, structured failure capture,
-  and checkpoint/resume.
+  and checkpoint/resume.  Its workers stay warm across runs until
+  :func:`~repro.parallel.engine.close_cell_pool` or interpreter exit.
 * :class:`~repro.parallel.supervisor.WorkerSupervisor` — the supervised
   pool itself: per-task deadlines, worker-death detection, bounded
   deterministic retry, quarantine, and serial fallback
@@ -30,6 +31,7 @@ from repro.parallel.engine import (
     SweepEngine,
     SweepResult,
     SweepStats,
+    close_cell_pool,
     default_workers,
     derive_cell_seeds,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "TaskReport",
     "WorkerSupervisor",
     "cache_disabled_by_env",
+    "close_cell_pool",
     "code_salt",
     "default_cache_dir",
     "default_workers",

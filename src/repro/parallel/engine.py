@@ -43,9 +43,11 @@ the fastpath's differential recheck, on the sweep's own worker pool.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import signal as _signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -76,6 +78,7 @@ from repro.parallel.resultcache import (
     default_cache_dir,
 )
 from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor
+from repro.schemes import SCHEME_REGISTRY
 from repro.trace.record import Trace
 from repro.trace.workloads import WORKLOAD_NAMES
 
@@ -91,6 +94,7 @@ __all__ = [
     "FASTPATH_MODES",
     "cell_meta",
     "cell_supervisor",
+    "close_cell_pool",
     "default_workers",
     "derive_cell_seeds",
     "execute_cell_payload",
@@ -420,10 +424,12 @@ def _cell_retry_signal(value) -> str | None:
 def cell_supervisor(
     *, workers: int, retry: RetryPolicy, name: str = "sweep"
 ) -> WorkerSupervisor:
-    """The :class:`WorkerSupervisor` that :func:`run_cells` runs cells on.
+    """A new :class:`WorkerSupervisor` that :func:`run_cells` can run on.
 
-    No process starts until the first supervised batch; the caller owns
-    the pool's lifetime (``with cell_supervisor(...) as supervisor:``).
+    No process starts until the first supervised batch.  The caller owns
+    the pool's lifetime (``with cell_supervisor(...) as supervisor:``),
+    as the service's scheduler does; :meth:`SweepEngine.run` uses the
+    process's warm pool instead (:func:`close_cell_pool`).
     """
     return WorkerSupervisor(
         execute_cell_payload,
@@ -432,6 +438,66 @@ def cell_supervisor(
         retry_value_signal=_cell_retry_signal,
         name=name,
     )
+
+
+# ----------------------------------------------------------------------
+# The process's warm cell pool: one slot that outlives every engine.
+# ----------------------------------------------------------------------
+_warm_lock = threading.Lock()
+#: ``(key, supervisor)`` of the warm pool, or None before the first run
+_warm_slot: tuple[tuple, WorkerSupervisor] | None = None
+
+
+def _warm_key(workers: int, retry: RetryPolicy) -> tuple:
+    """What a forked worker fixed at its fork and a run must match.
+
+    Besides the task function and the pool's shape: the environment
+    (cells read ``REPRO_CHAOS_*`` and ``REPRO_VERIFY`` from it) and the
+    registered schemes (a scheme class defined after the fork is unknown
+    to the worker).
+    """
+    return (
+        execute_cell_payload, workers, retry,
+        dict(os.environ), tuple(SCHEME_REGISTRY),
+    )
+
+
+@contextlib.contextmanager
+def _cell_pool(workers: int, retry: RetryPolicy):
+    """Yield the supervisor a :meth:`SweepEngine.run` runs its cells on.
+
+    That is the process's warm pool, whose healthy idle workers stay
+    alive for the next run.  A run with another key replaces it.  A run
+    that finds it in use by another thread gets a private pool, closed
+    at the run's end; so does ``workers=1``, which runs inline.
+    """
+    global _warm_slot
+    if workers > 1 and _warm_lock.acquire(blocking=False):
+        try:
+            key = _warm_key(workers, retry)
+            if _warm_slot is None or _warm_slot[0] != key:
+                if _warm_slot is not None:
+                    _warm_slot[1].close()
+                _warm_slot = (key, cell_supervisor(workers=workers, retry=retry))
+            yield _warm_slot[1]
+        finally:
+            _warm_lock.release()
+        return
+    with cell_supervisor(workers=workers, retry=retry) as private:
+        yield private
+
+
+def close_cell_pool() -> None:
+    """Stop the warm sweep workers; the next multi-worker run forks anew.
+
+    Waits for a run that is using the pool to finish.  Interpreter exit
+    stops them without this call.
+    """
+    global _warm_slot
+    with _warm_lock:
+        if _warm_slot is not None:
+            _warm_slot[1].close()
+            _warm_slot = None
 
 
 def run_cells(
@@ -772,6 +838,12 @@ class SweepEngine:
     ) -> SweepResult:
         """Run the grid and return outcomes in grid order.
 
+        With ``workers > 1`` the cells run on the process's warm pool:
+        its workers are forked at the first run and stay alive for the
+        next, in this engine or another, until :func:`close_cell_pool`
+        or interpreter exit.  A changed environment, worker count or
+        retry policy forks a new pool.
+
         With ``resume=True`` (requires a journal) cells already recorded
         in the journal are replayed from it — zero re-execution — and
         the reassembled grid is byte-identical to an uninterrupted run.
@@ -828,7 +900,7 @@ class SweepEngine:
 
         counts: dict[str, int] = {}
         stores_before = self.cache.stats.stores if self.cache else 0
-        with cell_supervisor(workers=self.workers, retry=self.retry) as pool:
+        with _cell_pool(self.workers, self.retry) as pool:
             for pos, result in run_cells(
                 pending,
                 pool,

@@ -35,7 +35,13 @@ leaving a ``with`` block) tears them down.  Everything else is per run:
 the counters, the replacement budget, the degrade-to-serial decision
 and the deadline function.  A worker that died while idle between runs
 is dropped and replaced when the next run starts, without charging any
-task.
+task.  The owner decides how long the workers live: every
+``SweepEngine.run`` of a process shares one warm pool that lives until
+``close_cell_pool()`` or interpreter exit, and the service's scheduler
+keeps its own for the server's life.  Because a worker can outlive the
+run that forked it, it first closes every descriptor it inherited
+except stdio and its own pipe, so it keeps none of its parent's pipes
+or sockets open.
 
 Every retry, timeout, death, and degradation emits a
 :meth:`~repro.obs.Tracer.instant` on the active tracer (when one is
@@ -53,6 +59,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import sys
 import time
 import traceback
 import weakref
@@ -141,12 +149,36 @@ class TaskReport:
 # Worker process side.  Must stay top-level and import-light: workers
 # are forked (or spawned) with this module importable.
 # ----------------------------------------------------------------------
+def _close_inherited_fds(conn) -> None:
+    """Close every descriptor the worker inherited but does not use.
+
+    Kept: 0-2, the descriptor ``sys.stdin`` was reopened on (the fork
+    bootstrap points it at ``/dev/null``) and ``conn``.  A forked worker
+    otherwise holds every pipe and socket its parent had open at the
+    fork -- a helper process's stdin, another worker's pipe -- for as
+    long as it lives, and a warm worker outlives the run that forked it:
+    the parent's peer of such a pipe would never see EOF.
+    """
+    keep = {conn.fileno()}
+    try:
+        keep.add(sys.stdin.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # no stdin, or not a real file: nothing to keep
+    low = 3
+    for fd in sorted(keep):
+        if fd >= low:
+            os.closerange(low, fd)
+            low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+
+
 def _worker_main(conn, task_fn) -> None:
     """Worker loop: receive a payload, run ``task_fn``, send the result.
 
     A raising task is shipped back as a structured failure (strings
     only, so it always pickles).  ``None`` is the shutdown sentinel.
     """
+    _close_inherited_fds(conn)
     while True:
         try:
             payload = conn.recv()

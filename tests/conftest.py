@@ -20,18 +20,22 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 os.environ.setdefault("REPRO_NO_CACHE", "1")
 
 from repro.config import default_config  # noqa: E402
+from repro.parallel import close_cell_pool  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():
     """Fail any test that leaves a worker process running.
 
-    Supervised pools outlive a single run by design, so their owners
-    (``SweepEngine.run``, ``SweepService.shutdown``) must tear them
-    down.  Leaked processes are killed before failing so
+    Supervised pools outlive a single run by design.  The sweep
+    engine's warm pool lives for the process, so it is closed here
+    first: each test starts without warm workers.  Every other owner
+    (a ``WorkerSupervisor``, ``SweepService.shutdown``) must tear its
+    pool down itself.  Leaked processes are killed before failing so
     one leak cannot cascade into the next test.
     """
     yield
+    close_cell_pool()
     leaked = multiprocessing.active_children()
     for proc in leaked:
         proc.kill()

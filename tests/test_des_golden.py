@@ -39,7 +39,7 @@ from repro.trace.synthetic import generate_trace
 
 FIXTURE = Path(__file__).parent / "fixtures" / "des_golden.json"
 SCHEMES = ("dcw", "tetris")
-WORKLOADS = ("vips", "blackscholes", "dedup")
+WORKLOADS = ("vips", "blackscholes", "dedup", "freqmine")
 REQUESTS_PER_CORE = 300
 SEED = 5
 
