@@ -17,6 +17,7 @@ answered from the write queue in ``forward_latency_ns``.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
@@ -31,6 +32,8 @@ from repro.sim.stats import Histogram, LatencyStat, TimeSeries
 
 __all__ = ["ServiceModel", "ControllerStats", "MemoryController"]
 
+_READ = ReqKind.READ
+
 
 class ServiceModel(Protocol):
     """Prices requests; optionally commits write content."""
@@ -40,30 +43,46 @@ class ServiceModel(Protocol):
     def write_ns(self, req: MemRequest) -> float: ...
 
 
-@dataclass
+class _Folded:
+    """A statistic folded on first read from a float array that only
+    grows: each read folds the values appended since the last one."""
+
+    __slots__ = ("stat", "values", "seen")
+
+    def __init__(self, stat: LatencyStat | Histogram, values: array) -> None:
+        self.stat = stat
+        self.values = values
+        self.seen = 0
+
+    def __call__(self):
+        values = self.values
+        if self.seen < len(values):
+            self.stat.extend(values[self.seen:])
+            self.seen = len(values)
+        return self.stat
+
+
+@dataclass(eq=False)
 class ControllerStats:
     """Aggregate controller metrics for one run.
 
     ``warmup_requests`` implements the standard measurement methodology:
     the first N completions (cold caches, empty queues) are counted for
     conservation but excluded from the latency statistics.
+
+    :meth:`record` only counts a completion and appends its latency and
+    queue wait, as floats, to its kind's arrays (16 B per measured
+    completion).  The latency, wait and histogram statistics are folded
+    from those arrays when read, each only as far as it is read: a row
+    that needs only the mean latencies never bins a histogram.  The
+    folds give bit-for-bit the statistics of one ``add`` per completion
+    in completion order (:meth:`LatencyStat.extend`,
+    :meth:`Histogram.extend`).
     """
 
     warmup_requests: int = 0
     completed_reads: int = 0
     completed_writes: int = 0
-
-    read_latency: LatencyStat = field(default_factory=lambda: LatencyStat("read"))
-    write_latency: LatencyStat = field(default_factory=lambda: LatencyStat("write"))
-    read_wait: LatencyStat = field(default_factory=lambda: LatencyStat("read_wait"))
-    write_wait: LatencyStat = field(default_factory=lambda: LatencyStat("write_wait"))
-    # Tail-latency histograms (percentiles via Histogram.percentile).
-    read_hist: Histogram = field(
-        default_factory=lambda: Histogram("read", bin_width=50.0, num_bins=512)
-    )
-    write_hist: Histogram = field(
-        default_factory=lambda: Histogram("write", bin_width=200.0, num_bins=256)
-    )
     forwarded_reads: int = 0
     read_stalls: int = 0
     write_stalls: int = 0
@@ -72,24 +91,80 @@ class ControllerStats:
     subarray_reads: int = 0
     bank_busy_ns: dict[int, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Latency and queue wait of every measured completion of each
+        # kind, in completion order.
+        self._read_latency_ns = array("d")
+        self._read_wait_ns = array("d")
+        self._write_latency_ns = array("d")
+        self._write_wait_ns = array("d")
+        self._read_latency = _Folded(LatencyStat("read"), self._read_latency_ns)
+        self._write_latency = _Folded(
+            LatencyStat("write"), self._write_latency_ns
+        )
+        self._read_wait = _Folded(LatencyStat("read_wait"), self._read_wait_ns)
+        self._write_wait = _Folded(
+            LatencyStat("write_wait"), self._write_wait_ns
+        )
+        # Tail-latency histograms (percentiles via Histogram.percentile).
+        self._read_hist = _Folded(
+            Histogram("read", bin_width=50.0, num_bins=512),
+            self._read_latency_ns,
+        )
+        self._write_hist = _Folded(
+            Histogram("write", bin_width=200.0, num_bins=256),
+            self._write_latency_ns,
+        )
+
+    @property
+    def read_latency(self) -> LatencyStat:
+        return self._read_latency()
+
+    @property
+    def write_latency(self) -> LatencyStat:
+        return self._write_latency()
+
+    @property
+    def read_wait(self) -> LatencyStat:
+        return self._read_wait()
+
+    @property
+    def write_wait(self) -> LatencyStat:
+        return self._write_wait()
+
+    @property
+    def read_hist(self) -> Histogram:
+        return self._read_hist()
+
+    @property
+    def write_hist(self) -> Histogram:
+        return self._write_hist()
+
     @property
     def completed(self) -> int:
         """All completions, warmup included (conservation checks)."""
         return self.completed_reads + self.completed_writes
 
     def record(self, req: MemRequest) -> None:
-        if req.kind is ReqKind.READ:
+        """Count one completion and append its latency and queue wait."""
+        if req.kind is _READ:
             self.completed_reads += 1
-            latency, wait, hist = self.read_latency, self.read_wait, self.read_hist
+            latencies, waits = self._read_latency_ns, self._read_wait_ns
         else:
             self.completed_writes += 1
-            latency, wait, hist = self.write_latency, self.write_wait, self.write_hist
+            latencies, waits = self._write_latency_ns, self._write_wait_ns
         if self.completed_reads + self.completed_writes <= self.warmup_requests:
             return  # warmup: counted for conservation, excluded from stats
-        latency_ns = req.latency_ns
-        latency.add(latency_ns)
-        wait.add(req.queue_wait_ns)
-        hist.add(latency_ns)
+        enqueue_ns = req.enqueue_ns
+        start_ns = req.start_ns
+        finish_ns = req.finish_ns
+        if enqueue_ns < 0.0 or start_ns < 0.0 or finish_ns < 0.0:
+            # A timestamp never set: the properties' 0.0 convention.
+            latencies.append(req.latency_ns)
+            waits.append(req.queue_wait_ns)
+        else:
+            latencies.append(finish_ns - enqueue_ns)
+            waits.append(start_ns - enqueue_ns)
 
 
 class MemoryController:
@@ -161,6 +236,17 @@ class MemoryController:
         # Observability (repro.obs): None unless config.trace.enabled,
         # so untraced runs pay one `is None` test per site.
         self._obs = tracer_for(config)
+        # Bound once for the per-event path (submit, service start,
+        # completion): the switches, the pricing calls and the write
+        # queue's arrival deque and line multiset.
+        self._write_pausing = mc.write_pausing
+        self._write_coalescing = mc.write_coalescing
+        self._row_buffer = self.policy.row_buffer
+        self._read_ns = service.read_ns
+        self._write_ns = service.write_ns
+        self._write_items = self.write_queue.items
+        self._write_lines = self.write_queue.line_counts
+        self._bank_busy_ns = self.stats.bank_busy_ns
 
     # ------------------------------------------------------------------
     # Observability emissions (all sites guard on self._obs).
@@ -205,8 +291,8 @@ class MemoryController:
     def submit(self, req: MemRequest) -> bool:
         """Try to accept a request; False means the queue is full."""
         req.enqueue_ns = self.sim.now
-        if req.kind is ReqKind.READ:
-            if self.enable_forwarding and self.write_queue.contains_line(req.line):
+        if req.kind is _READ:
+            if self.enable_forwarding and req.line in self._write_lines:
                 # Serve from the write queue: no bank access needed.
                 req.forwarded = True
                 self.stats.forwarded_reads += 1
@@ -226,12 +312,10 @@ class MemoryController:
                     )
                     self._obs.metrics.counter("memctrl.read_stalls").inc()
                 return False
-            if self.config.memctrl.write_pausing:
+            if self._write_pausing:
                 self._maybe_pause(req)
         else:
-            if self.config.memctrl.write_coalescing and (
-                self.write_queue.contains_line(req.line)
-            ):
+            if self._write_coalescing and req.line in self._write_lines:
                 pending = self.write_queue.oldest_where(
                     lambda r: r.line == req.line
                 )
@@ -379,7 +463,7 @@ class MemoryController:
             ):
                 needed = True
             elif False in self.bank_busy:
-                occ = len(self.write_queue)
+                occ = len(self._write_items)
                 if policy.draining:
                     needed = not policy.force_drain and occ <= self._drain_lo
                 else:
@@ -413,6 +497,7 @@ class MemoryController:
         policy = self.policy
         read_queue = self.read_queue
         write_queue = self.write_queue
+        write_items = self._write_items
         reads = self._reads_by_bank
         writes = self._writes_by_bank
         bank_busy = self.bank_busy
@@ -437,7 +522,7 @@ class MemoryController:
                 continue
             if stale:
                 stale = False
-                occ = len(write_queue)
+                occ = len(write_items)
                 if occ != self._drain_occ:
                     self._drain_occ = occ
                     policy.update_drain_state(write_queue)
@@ -456,7 +541,7 @@ class MemoryController:
         submit, and so schedule, first); ``now`` cannot move meanwhile.
         """
         now = self.sim.now
-        read = req.kind is ReqKind.READ
+        read = req.kind is _READ
         if read:
             self.read_queue.remove(req)
             waiters = self._read_waiters
@@ -471,15 +556,15 @@ class MemoryController:
             waiters.popleft()()
         req.start_ns = now
         if not read:
-            service_ns = self.service.write_ns(req)
-        elif self.policy.row_buffer is not None:
-            service_ns = self.policy.row_buffer.access(bank, req.line)
+            service_ns = self._write_ns(req)
+        elif self._row_buffer is not None:
+            service_ns = self._row_buffer.access(bank, req.line)
         else:
-            service_ns = self.service.read_ns(req)
+            service_ns = self._read_ns(req)
         if service_ns < 0:
             raise ValueError(f"negative service time for {req}")
         self.bank_busy[bank] = True
-        busy = self.stats.bank_busy_ns
+        busy = self._bank_busy_ns
         busy[bank] = busy.get(bank, 0.0) + service_ns
         event = self.sim.schedule(service_ns, self._complete, bank, req)
         self._inflight[bank] = (req, event, now + service_ns)
@@ -502,7 +587,7 @@ class MemoryController:
         if self._read_waiters:
             self._read_waiters.popleft()()
         read.start_ns = self.sim.now
-        service_ns = self.service.read_ns(read)
+        service_ns = self._read_ns(read)
         self._read_port_busy[bank] = True
         self.stats.subarray_reads += 1
         self.sim.schedule(service_ns, self._complete_read_port, bank, read)
@@ -525,8 +610,9 @@ class MemoryController:
         self.stats.record(req)
         if self._obs is not None:
             self._trace_complete(bank, req)
-        if req.on_done is not None:
-            req.on_done(req)
+        on_done = req.on_done
+        if on_done is not None:
+            on_done(req)
         self._schedule_kick(bank)
 
     def _complete_forward(self, req: MemRequest) -> None:

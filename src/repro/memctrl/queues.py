@@ -28,41 +28,46 @@ class BoundedQueue:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self._items: deque[MemRequest] = deque()
+        # Read-only for callers, like the two indexes below: the
+        # controller reads them directly on its per-event path.
+        self.items: deque[MemRequest] = deque()
         # bank -> that bank's requests, oldest first (the same objects
-        # as _items, in the same relative order).  Read-only for callers:
-        # a non-empty entry means the bank has a request pending.
+        # as items, in the same relative order).  A non-empty entry
+        # means the bank has a request pending.
         self.by_bank: defaultdict[int, deque[MemRequest]] = defaultdict(deque)
-        # Lines with a pending write, for read forwarding (multiset:
-        # the same line can be enqueued twice).
-        self._line_counts: dict[int, int] = {}
+        # line -> its pending requests (multiset: the same line can be
+        # enqueued twice); `line in line_counts` is contains_line.
+        self.line_counts: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def __iter__(self) -> Iterator[MemRequest]:
-        return iter(self._items)
+        return iter(self.items)
 
     @property
     def full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self.items) >= self.capacity
 
     @property
     def empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     def occupancy(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     # ------------------------------------------------------------------
     def push(self, req: MemRequest) -> bool:
         """Append if space is available; returns False when full."""
-        if self.full:
+        items = self.items
+        if len(items) >= self.capacity:
             return False
-        self._items.append(req)
+        items.append(req)
         self.by_bank[req.bank].append(req)
-        self._line_counts[req.line] = self._line_counts.get(req.line, 0) + 1
+        line_counts = self.line_counts
+        line = req.line
+        line_counts[line] = line_counts.get(line, 0) + 1
         return True
 
     def oldest_for_bank(self, bank: int) -> MemRequest | None:
@@ -77,24 +82,26 @@ class BoundedQueue:
     def oldest_where(
         self, pred: Callable[[MemRequest], bool]
     ) -> MemRequest | None:
-        for req in self._items:
+        for req in self.items:
             if pred(req):
                 return req
         return None
 
     def remove(self, req: MemRequest) -> None:
         """Remove exactly ``req`` (requests compare by identity)."""
-        self._items.remove(req)
+        self.items.remove(req)
         self.by_bank[req.bank].remove(req)
-        count = self._line_counts[req.line] - 1
+        line_counts = self.line_counts
+        line = req.line
+        count = line_counts[line] - 1
         if count:
-            self._line_counts[req.line] = count
+            line_counts[line] = count
         else:
-            del self._line_counts[req.line]
+            del line_counts[line]
 
     def contains_line(self, line: int) -> bool:
         """Is a request for this line pending? (read-forwarding check)"""
-        return line in self._line_counts
+        return line in self.line_counts
 
     def banks_pending(self) -> set[int]:
         return {bank for bank, items in self.by_bank.items() if items}

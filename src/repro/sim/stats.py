@@ -2,13 +2,16 @@
 
 Accumulators are streaming (O(1) memory for the moments, fixed bins for
 the histogram) because the Fig 11-14 runs see hundreds of thousands of
-requests.  Host-side counters and timings live in
+requests.  Each takes one value (``add``) or a batch (``extend``); a
+batch gives bit-for-bit the state of one ``add`` per value in order.
+Host-side counters and timings live in
 :class:`repro.obs.MetricRegistry`, not here.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +162,30 @@ class LatencyStat:
         if value > self._max:
             self._max = value
 
+    def extend(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order, exactly as one :meth:`add` each.
+
+        The recurrences stay sequential Python float arithmetic: a
+        vectorized or compensated sum (builtin ``sum`` compensates from
+        Python 3.12 on) would change the last bits of ``total`` and of
+        the mean.
+        """
+        if not values:
+            return
+        count, total, mean, m2 = self.count, self.total, self._mean, self._m2
+        for value in values:
+            count += 1
+            total += value
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self.total, self._mean, self._m2 = count, total, mean, m2
+        low, high = min(values), max(values)
+        if low < self._min:
+            self._min = low
+        if high > self._max:
+            self._max = high
+
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
@@ -218,6 +245,27 @@ class Histogram:
         elif idx * self.bin_width > value:
             idx -= 1
         self.counts[min(idx, self.num_bins)] += 1
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Bin ``values`` at once: the counts of one :meth:`add` each."""
+        v = np.asarray(values, dtype=np.float64)
+        if not v.size:
+            return
+        if (v < 0).any():
+            raise ValueError("histogram values must be non-negative")
+        if not np.isfinite(v).all():
+            # add() fails on these too (int() of a NaN quotient).
+            raise ValueError("histogram values must be finite")
+        width = self.bin_width
+        # numpy's float floor division is Python's; then the same
+        # half-open correction as add(), one step either way.
+        idx = np.floor_divide(v, width)
+        idx[(idx + 1) * width <= v] += 1
+        idx[idx * width > v] -= 1
+        np.minimum(idx, self.num_bins, out=idx)
+        self.counts += np.bincount(
+            idx.astype(np.intp), minlength=self.num_bins + 1
+        )
 
     @property
     def total(self) -> int:
