@@ -378,6 +378,9 @@ class MemoryController:
         event.cancel()
         self._inflight[bank] = None
         self.bank_busy[bank] = False
+        # The start charged the whole service; the resume charges what
+        # is left (plus the re-ramp), so take the unserved part back.
+        self._bank_busy_ns[bank] -= remaining
         self._paused[bank] = (
             req, remaining + self.config.memctrl.pause_overhead_ns
         )
@@ -398,9 +401,8 @@ class MemoryController:
         req, remaining = paused
         self._paused[bank] = None
         self.bank_busy[bank] = True
-        self.stats.bank_busy_ns[bank] = (
-            self.stats.bank_busy_ns.get(bank, 0.0) + remaining
-        )
+        busy = self._bank_busy_ns
+        busy[bank] = busy.get(bank, 0.0) + remaining
         event = self.sim.schedule(remaining, self._complete, bank, req)
         self._inflight[bank] = (req, event, self.sim.now + remaining)
         return True

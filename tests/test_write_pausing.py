@@ -68,6 +68,19 @@ class TestPausing:
             3000.0 + 50.0 + 10.0
         )
 
+    def test_paused_write_busies_its_bank_once(self):
+        """One bank, one write paused once: the bank is busy for the
+        write's service, the re-ramp overhead and the read that cut in,
+        and the write's unserved remainder is charged only on resume."""
+        sim = Simulator()
+        ctrl = make(sim)
+        ctrl.submit(write_req(1, 0))
+        sim.run(until=500.0)          # 2500 ns of the write remain
+        ctrl.submit(read_req(2, 8))
+        sim.run()
+        assert ctrl.stats.write_pauses == 1
+        assert ctrl.stats.bank_busy_ns == {0: pytest.approx(3000.0 + 10.0 + 50.0)}
+
     def test_no_pause_below_threshold(self):
         sim = Simulator()
         ctrl = make(sim, pause_threshold_ns=100.0)
