@@ -25,6 +25,7 @@ from repro.schemes import get_scheme
 from repro.schemes.pricing import WriteServiceTable, precompute_write_service
 from repro.trace.content import realize_payload
 from repro.trace.record import Trace
+from repro.verify import runtime_verification_enabled
 
 __all__ = [
     "PrecomputedServiceModel",
@@ -116,7 +117,12 @@ def run_fullsystem(
     """One complete Fig 11-14 style run: trace x scheme -> SystemResult.
 
     Pass a pre-built ``table`` to avoid re-pricing the trace when the
-    caller already has one (the grid runner does).
+    caller already has one (the grid runner does).  Under runtime
+    verification (:func:`repro.verify.runtime_verification_enabled`)
+    the result is checked with
+    :func:`repro.analysis.validation.validate_system_result`: request
+    and instruction conservation against the trace, and every bank's
+    busy time within the run's horizon.
     """
     config = config if config is not None else default_config()
     if functional:
@@ -133,4 +139,9 @@ def run_fullsystem(
         enable_forwarding=enable_forwarding,
         warmup_requests=warmup_requests,
     )
-    return system.run()
+    result = system.run()
+    if runtime_verification_enabled(config):
+        from repro.analysis.validation import validate_system_result
+
+        validate_system_result(result, trace, config)
+    return result
