@@ -17,18 +17,17 @@ answered from the write queue in ``forward_latency_ns``.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from repro.config import SystemConfig
 from repro.memctrl.frfcfs import FRFCFSPolicy, RowBufferModel
 from repro.memctrl.queues import BoundedQueue
 from repro.memctrl.request import MemRequest, ReqKind
+from repro.memctrl.stats import ControllerStats
 from repro.obs.runtime import tracer_for
 from repro.sim.engine import Simulator
-from repro.sim.stats import Histogram, LatencyStat, TimeSeries
+from repro.sim.stats import TimeSeries
 
 __all__ = ["ServiceModel", "ControllerStats", "MemoryController"]
 
@@ -41,130 +40,6 @@ class ServiceModel(Protocol):
     def read_ns(self, req: MemRequest) -> float: ...
 
     def write_ns(self, req: MemRequest) -> float: ...
-
-
-class _Folded:
-    """A statistic folded on first read from a float array that only
-    grows: each read folds the values appended since the last one."""
-
-    __slots__ = ("stat", "values", "seen")
-
-    def __init__(self, stat: LatencyStat | Histogram, values: array) -> None:
-        self.stat = stat
-        self.values = values
-        self.seen = 0
-
-    def __call__(self):
-        values = self.values
-        if self.seen < len(values):
-            self.stat.extend(values[self.seen:])
-            self.seen = len(values)
-        return self.stat
-
-
-@dataclass(eq=False)
-class ControllerStats:
-    """Aggregate controller metrics for one run.
-
-    ``warmup_requests`` implements the standard measurement methodology:
-    the first N completions (cold caches, empty queues) are counted for
-    conservation but excluded from the latency statistics.
-
-    :meth:`record` only counts a completion and appends its latency and
-    queue wait, as floats, to its kind's arrays (16 B per measured
-    completion).  The latency, wait and histogram statistics are folded
-    from those arrays when read, each only as far as it is read: a row
-    that needs only the mean latencies never bins a histogram.  The
-    folds give bit-for-bit the statistics of one ``add`` per completion
-    in completion order (:meth:`LatencyStat.extend`,
-    :meth:`Histogram.extend`).
-    """
-
-    warmup_requests: int = 0
-    completed_reads: int = 0
-    completed_writes: int = 0
-    forwarded_reads: int = 0
-    read_stalls: int = 0
-    write_stalls: int = 0
-    write_pauses: int = 0
-    coalesced_writes: int = 0
-    subarray_reads: int = 0
-    bank_busy_ns: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # Latency and queue wait of every measured completion of each
-        # kind, in completion order.
-        self._read_latency_ns = array("d")
-        self._read_wait_ns = array("d")
-        self._write_latency_ns = array("d")
-        self._write_wait_ns = array("d")
-        self._read_latency = _Folded(LatencyStat("read"), self._read_latency_ns)
-        self._write_latency = _Folded(
-            LatencyStat("write"), self._write_latency_ns
-        )
-        self._read_wait = _Folded(LatencyStat("read_wait"), self._read_wait_ns)
-        self._write_wait = _Folded(
-            LatencyStat("write_wait"), self._write_wait_ns
-        )
-        # Tail-latency histograms (percentiles via Histogram.percentile).
-        self._read_hist = _Folded(
-            Histogram("read", bin_width=50.0, num_bins=512),
-            self._read_latency_ns,
-        )
-        self._write_hist = _Folded(
-            Histogram("write", bin_width=200.0, num_bins=256),
-            self._write_latency_ns,
-        )
-
-    @property
-    def read_latency(self) -> LatencyStat:
-        return self._read_latency()
-
-    @property
-    def write_latency(self) -> LatencyStat:
-        return self._write_latency()
-
-    @property
-    def read_wait(self) -> LatencyStat:
-        return self._read_wait()
-
-    @property
-    def write_wait(self) -> LatencyStat:
-        return self._write_wait()
-
-    @property
-    def read_hist(self) -> Histogram:
-        return self._read_hist()
-
-    @property
-    def write_hist(self) -> Histogram:
-        return self._write_hist()
-
-    @property
-    def completed(self) -> int:
-        """All completions, warmup included (conservation checks)."""
-        return self.completed_reads + self.completed_writes
-
-    def record(self, req: MemRequest) -> None:
-        """Count one completion and append its latency and queue wait."""
-        if req.kind is _READ:
-            self.completed_reads += 1
-            latencies, waits = self._read_latency_ns, self._read_wait_ns
-        else:
-            self.completed_writes += 1
-            latencies, waits = self._write_latency_ns, self._write_wait_ns
-        if self.completed_reads + self.completed_writes <= self.warmup_requests:
-            return  # warmup: counted for conservation, excluded from stats
-        enqueue_ns = req.enqueue_ns
-        start_ns = req.start_ns
-        finish_ns = req.finish_ns
-        if enqueue_ns < 0.0 or start_ns < 0.0 or finish_ns < 0.0:
-            # A timestamp never set: the properties' 0.0 convention.
-            latencies.append(req.latency_ns)
-            waits.append(req.queue_wait_ns)
-        else:
-            latencies.append(finish_ns - enqueue_ns)
-            waits.append(start_ns - enqueue_ns)
 
 
 class MemoryController:

@@ -248,7 +248,9 @@ class Histogram:
 
     def extend(self, values: Sequence[float]) -> None:
         """Bin ``values`` at once: the counts of one :meth:`add` each."""
-        v = np.asarray(values, dtype=np.float64)
+        # A copy: a view would pin the caller's buffer (an array.array
+        # cannot be resized while a numpy view of it is alive).
+        v = np.array(values, dtype=np.float64)
         if not v.size:
             return
         if (v < 0).any():

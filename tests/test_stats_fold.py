@@ -1,24 +1,27 @@
 """The controller's folded statistics against a streaming reference.
 
-:class:`~repro.memctrl.controller.ControllerStats` appends each
-completion's latency and queue wait to float arrays and folds them into
-its :class:`LatencyStat`\\ s and :class:`Histogram`\\ s when they are read.
-The reference below is the streaming form it replaced: ``record`` adds
-every measured completion to the statistics at once, with the
-one-value ``add`` of each accumulator copied here verbatim.  The two
-must agree bit for bit on every field, with reads interleaved anywhere
-between completions, across the warm-up boundary, on exact bin edges
-and one ulp below them, and in the overflow bin.
+:class:`~repro.memctrl.stats.ControllerStats` buffers each completion's
+latency and queue wait as floats and folds them into its
+:class:`LatencyStat`\\ s and :class:`Histogram`\\ s when they are read or
+when a buffer is full.  The reference below is the streaming form it
+replaced: ``record`` adds every measured completion to the statistics at
+once, with the one-value ``add`` of each accumulator copied here
+verbatim.  The two must agree bit for bit on every field, with reads
+interleaved anywhere between completions, at any buffer size, across the
+warm-up boundary, on exact bin edges and one ulp below them, and in the
+overflow bin.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.memctrl import stats as stats_module
 from repro.memctrl.controller import ControllerStats
 from repro.memctrl.request import MemRequest, ReqKind
 from repro.sim.stats import Histogram, LatencyStat
@@ -151,18 +154,24 @@ def _request(i: int, read: bool, enqueue: float, share: float,
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=ops, warmup=st.integers(min_value=0, max_value=6))
-def test_fold_matches_streaming_record(ops, warmup):
+@given(
+    ops=ops,
+    warmup=st.integers(min_value=0, max_value=6),
+    # Buffer sizes a short run fills, and the production one it does not.
+    fold_every=st.sampled_from([1, 2, 7, stats_module._FOLD_EVERY]),
+)
+def test_fold_matches_streaming_record(ops, warmup, fold_every):
     folded, ref = ControllerStats(warmup_requests=warmup), RefStats(warmup)
-    for i, op in enumerate(ops):
-        if isinstance(op, str):  # a read between completions
-            assert_same(getattr(folded, op), getattr(ref, op))
-            continue
-        req = _request(i, *op)
-        folded.record(req)
-        ref.record(req)
-        assert folded.completed_reads == ref.completed_reads
-        assert folded.completed_writes == ref.completed_writes
+    with mock.patch.object(stats_module, "_FOLD_EVERY", fold_every):
+        for i, op in enumerate(ops):
+            if isinstance(op, str):  # a read between completions
+                assert_same(getattr(folded, op), getattr(ref, op))
+                continue
+            req = _request(i, *op)
+            folded.record(req)
+            ref.record(req)
+            assert folded.completed_reads == ref.completed_reads
+            assert folded.completed_writes == ref.completed_writes
     for name in ACCUMULATORS:
         assert_same(getattr(folded, name), getattr(ref, name))
 
@@ -195,15 +204,29 @@ def test_unset_timestamps_keep_the_zero_convention():
 
 
 def test_negative_latency_still_raises():
+    """The histogram rejects a negative latency when it is folded, and
+    the latency statistics keep it, as the streaming ``add`` did."""
     stats = ControllerStats()
     req = _request(0, True, 100.0, 0.0, 0.0)
     req.finish_ns = 40.0  # completes before it was enqueued
     stats.record(req)
-    assert stats.read_latency.min == -60.0
     with pytest.raises(ValueError):
         stats.read_hist
+    assert stats.read_latency.count == 1  # folded once, not again
+    assert stats.read_latency.min == -60.0
     with pytest.raises(ValueError):
         Histogram("x", bin_width=1.0).extend([1.0, -0.5])
+
+
+def test_a_full_buffer_folds_in_record():
+    stats = ControllerStats()
+    bad = _request(0, True, 100.0, 0.0, 0.0)
+    bad.finish_ns = 40.0
+    with mock.patch.object(stats_module, "_FOLD_EVERY", 2):
+        stats.record(_request(1, True, 0.0, 0.5, 10.0))
+        with pytest.raises(ValueError):
+            stats.record(bad)  # the second read fills the buffer
+    assert stats.read_latency.count == 2
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
