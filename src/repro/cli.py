@@ -276,7 +276,8 @@ def _run_sweep(spec, args: argparse.Namespace) -> tuple[int, dict]:
     s = sweep.stats
     hit_pct = 100.0 * s.cache_hits / s.cells if s.cells else 0.0
     print(
-        f"{s.cells} cells: {s.executed} executed, {s.cache_hits} cached "
+        f"{s.cells} cells: {s.executed} executed, {s.queueing_reused} "
+        f"reused queueing, {s.cache_hits} cached "
         f"({hit_pct:.0f}% hits), {s.errors} errors, "
         f"{s.workers} workers, {s.wall_s:.2f}s"
     )

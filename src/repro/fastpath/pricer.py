@@ -250,6 +250,7 @@ def model_cell(
     evq = []
     push_ev = heapq.heappush
     pop_ev = heapq.heappop
+    replace_ev = heapq.heapreplace
 
     def start_write(b, now):
         nonlocal occ, draining, writes_in_flight, seq, n_blocked
@@ -360,6 +361,7 @@ def model_cell(
     def window_sim(t0):
         """Exact replay of one drain window starting at time ``t0``."""
         nonlocal read_extra, n_fwd, draining, writes_in_flight, n_blocked, seq
+        nonlocal occ
         draining = True
         evq.clear()
 
@@ -398,8 +400,38 @@ def model_cell(
                 seq += 1
                 push_ev(evq, (c.issue[c.k] + c.D, seq, EV_REC, c))
 
+        # Every event key ``(time, seq)`` is unique, so replacing the
+        # heap top instead of popping it and pushing its successor
+        # cannot change the pop order.
         while evq:
-            t, _, kind, payload = pop_ev(evq)
+            t, _, kind, payload = evq[0]
+            if kind == EV_DONE and draining and qb[payload]:
+                # The bank starts its next write at once: start_write
+                # inlined, its completion taking this one's heap slot.
+                b = payload
+                arr, wi, ln = qb[b].popleft()
+                occ -= 1
+                if occ <= lo:
+                    draining = False
+                cnt = pend_lines[ln] - 1
+                if cnt:
+                    pend_lines[ln] = cnt
+                else:
+                    del pend_lines[ln]
+                done = t + svc[wi]
+                write_lat[wi] = done - arr
+                seq += 1
+                replace_ev(evq, (done, seq, EV_DONE, b))
+                if stalled:
+                    core = stalled.popleft()
+                    core.blocked = False
+                    n_blocked -= 1
+                    core.D = t - core.issue[core.k]
+                    seq += 1
+                    push_ev(evq, (t, seq, EV_REC, core))
+                # A write is in flight, so the window goes on.
+                continue
+            pop_ev(evq)
             if kind == EV_REC:
                 c = payload
                 if not c.blocked and c.k < c.n:
@@ -446,7 +478,9 @@ def model_cell(
 
     heap = next_writes()
     while heap:
-        best_t, ci = heapq.heappop(heap)
+        # Keys ``(time, core)`` are unique: peek the top, and replace it
+        # by the picked core's next write rather than pop and push.
+        best_t, ci = heap[0]
         c = cores[ci]
         k = c.next_w[c.k]
         if pend_lines and k > c.k:
@@ -475,7 +509,9 @@ def model_cell(
         else:
             k = c.next_w[c.k]
             if k < c.n:
-                heapq.heappush(heap, (c.issue[k] + c.D, ci))
+                heapq.heapreplace(heap, (c.issue[k] + c.D, ci))
+            else:
+                heapq.heappop(heap)
     if pend_lines:
         # Reads after a core's last write may hit a line whose write is
         # still queued for the final drain: they forward too.
@@ -509,17 +545,23 @@ def model_cell(
 # Full rows.
 # ----------------------------------------------------------------------
 def price_cell(
-    trace: Trace, workload: str, scheme: str, config: SystemConfig
+    trace: Trace, workload: str, scheme: str, config: SystemConfig,
+    *, model=None,
 ) -> dict:
     """One sweep row as a field dict (``ExperimentResult(**fields)``).
 
     Field coercion matches ``_execute_cell``: builtin ``float``/``int``
     so a fresh row is byte-identical after a JSON cache round-trip.
     ``events`` is 0 — the analytic lane processes no DES events — which
-    also marks the row's lane in cached artifacts.
+    also marks the row's lane in cached artifacts.  ``model``, when
+    given, maps the cell's service vector to :func:`model_cell`'s result
+    in its place; the sweep engine passes one that reuses the result of
+    a cell of the same run with an equal vector.
     """
     service, units, energy = price_write_service(trace, scheme, config)
-    read_lat, w_lat, ipc, runtime, n_fwd = model_cell(trace, service, config)
+    read_lat, w_lat, ipc, runtime, n_fwd = (
+        model_cell(trace, service, config) if model is None else model(service)
+    )
     return {
         "workload": workload,
         "scheme": scheme,

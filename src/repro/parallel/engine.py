@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import os
 import signal as _signal
 import threading
@@ -81,6 +82,7 @@ from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor
 from repro.schemes import SCHEME_REGISTRY
 from repro.trace.record import Trace
 from repro.trace.workloads import WORKLOAD_NAMES
+from repro.verify import InvariantViolation, runtime_verification_enabled
 
 __all__ = [
     "CellError",
@@ -233,7 +235,8 @@ class SweepStats:
     """Execution accounting for one :meth:`SweepEngine.run`."""
 
     cells: int = 0
-    executed: int = 0       # cells that actually ran the DES
+    executed: int = 0       # cells that actually ran (not cache/journal)
+    queueing_reused: int = 0  # executed cells that reused a twin's queueing
     cache_hits: int = 0
     cache_stores: int = 0
     resumed: int = 0        # cells replayed from the sweep journal
@@ -307,11 +310,46 @@ def _trace_for(
     )
 
 
-def _execute_cell(trace: Trace, workload: str, scheme: str, config: SystemConfig):
-    """Price + simulate one (trace, scheme) cell -> ExperimentResult.
+def _queue_once(service_ns: np.ndarray, carried: dict | None,
+                config: SystemConfig, queue):
+    """A cell's queueing result: ``queue()``, or its twin's -> ``(result, landed)``.
 
-    Fields are coerced to builtin ``float``/``int`` so a freshly computed
-    row is byte-identical to the same row after a JSON cache round-trip.
+    Queueing (the DES run or the analytic model) sees a scheme only
+    through its per-write service vector, so within one run, where the
+    config is fixed, two cells of one trace with equal vectors queue
+    alike.  ``carried`` maps the SHA-256 of every vector the run has
+    already queued on this cell's trace to its result; ``None`` (a plain
+    payload) always queues.  ``landed`` is ``None`` for a plain payload,
+    else ``(digest, result)`` after queueing or ``(digest, None)`` after
+    a reuse.  Under runtime verification a reuse queues anyway and
+    raises :class:`InvariantViolation` if any output differs.
+    """
+    if carried is None:
+        return queue(), None
+    digest = hashlib.sha256(service_ns.tobytes()).hexdigest()
+    result = carried.get(digest)
+    if result is None:
+        result = queue()
+        return result, (digest, result)
+    if runtime_verification_enabled(config):
+        fresh = queue()
+        if fresh != result:
+            raise InvariantViolation(
+                "queueing_reuse",
+                "a twin's queueing result differs from this cell's own",
+                digest=digest, reused=result, fresh=fresh,
+            )
+    return result, (digest, None)
+
+
+def _execute_cell(trace: Trace, workload: str, scheme: str,
+                  config: SystemConfig, carried: dict | None = None):
+    """Price + simulate one (trace, scheme) cell -> ``(row, landed)``.
+
+    The DES run is skipped when ``carried`` holds a twin's result (see
+    :func:`_queue_once`).  Fields are coerced to builtin ``float``/``int``
+    so a freshly computed row is byte-identical to the same row after a
+    JSON cache round-trip.
     """
     from repro.experiments.fullsystem import (
         precompute_write_service,
@@ -320,33 +358,62 @@ def _execute_cell(trace: Trace, workload: str, scheme: str, config: SystemConfig
     from repro.experiments.runner import ExperimentResult
 
     table = precompute_write_service(trace, scheme, config)
-    res = run_fullsystem(trace, scheme, config, table=table)
-    return ExperimentResult(
+
+    def simulate() -> tuple:
+        res = run_fullsystem(trace, scheme, config, table=table)
+        return (
+            float(res.mean_read_latency_ns),
+            float(res.mean_write_latency_ns),
+            float(res.ipc),
+            float(res.runtime_ns),
+            int(res.controller.forwarded_reads),
+            int(res.events),
+        )
+
+    (read_lat, w_lat, ipc, runtime, n_fwd, events), landed = _queue_once(
+        table.service_ns, carried, config, simulate
+    )
+    row = ExperimentResult(
         workload=workload,
         scheme=scheme,
-        read_latency_ns=float(res.mean_read_latency_ns),
-        write_latency_ns=float(res.mean_write_latency_ns),
-        ipc=float(res.ipc),
-        runtime_ns=float(res.runtime_ns),
+        read_latency_ns=read_lat,
+        write_latency_ns=w_lat,
+        ipc=ipc,
+        runtime_ns=runtime,
         mean_write_units=float(table.mean_units()),
         mean_write_energy=float(table.energy.mean()) if table.energy.size else 0.0,
-        forwarded_reads=int(res.controller.forwarded_reads),
-        events=int(res.events),
+        forwarded_reads=n_fwd,
+        events=events,
     )
+    return row, landed
 
 
 def _execute_cell_fastpath(
-    trace: Trace, workload: str, scheme: str, config: SystemConfig
+    trace: Trace, workload: str, scheme: str, config: SystemConfig,
+    carried: dict | None = None,
 ):
-    """Price one cell analytically -> ExperimentResult (no DES).
+    """Price one cell analytically -> ``(row, landed)`` (no DES).
 
-    Same field coercion contract as :func:`_execute_cell`;
+    Same field coercion and ``carried`` contract as :func:`_execute_cell`;
     ``events == 0`` marks the analytic lane in every artifact.
     """
     from repro.experiments.runner import ExperimentResult
-    from repro.fastpath.pricer import price_cell
+    from repro.fastpath.pricer import model_cell, price_cell
 
-    return ExperimentResult(**price_cell(trace, workload, scheme, config))
+    landed = None
+
+    def model(service_ns) -> tuple:
+        nonlocal landed
+        result, landed = _queue_once(
+            service_ns, carried, config,
+            lambda: model_cell(trace, service_ns, config),
+        )
+        return result
+
+    row = ExperimentResult(
+        **price_cell(trace, workload, scheme, config, model=model)
+    )
+    return row, landed
 
 
 def _chaos_inject(workload: str, scheme: str) -> None:
@@ -376,11 +443,15 @@ def _chaos_inject(workload: str, scheme: str) -> None:
 
 
 def execute_cell_payload(payload: tuple):
-    """Execute one :class:`PlannedCell` payload -> ``(idx, row | CellError)``.
+    """Execute one cell payload -> ``(idx, row | CellError)``.
 
     The picklable unit of work every executor runs (the serial loop and
     the supervised workers of :func:`run_cells`), so a payload yields
-    the same row wherever it executes.
+    the same row wherever it executes.  A :class:`PlannedCell` payload
+    has eight fields.  :meth:`SweepEngine.run` appends a ninth, the
+    queueing results its run has landed on the cell's trace (see
+    :func:`_queue_once`); such a payload returns ``(idx, row | CellError,
+    landed)``, and :func:`run_cells` folds ``landed`` back into them.
 
     The broad except is the structured-failure boundary: the exception is
     converted into a :class:`CellError` row (type, message, traceback)
@@ -396,16 +467,16 @@ def execute_cell_payload(payload: tuple):
         requests_per_core,
         config_json,
         lane,
-    ) = payload
+    ) = payload[:8]
+    carried = payload[8] if len(payload) > 8 else None
     try:
         _chaos_inject(workload, scheme)
         config = _config_from_json(config_json)
         trace = _trace_for(workload, requests_per_core, config.cpu.num_cores, seed)
-        if lane == "fastpath":
-            return idx, _execute_cell_fastpath(trace, workload, scheme, config)
-        return idx, _execute_cell(trace, workload, scheme, config)
+        execute = _execute_cell_fastpath if lane == "fastpath" else _execute_cell
+        row, landed = execute(trace, workload, scheme, config, carried)
     except Exception as exc:
-        return idx, CellError(
+        row, landed = CellError(
             workload=workload,
             scheme=scheme,
             seed=seed,
@@ -413,7 +484,23 @@ def execute_cell_payload(payload: tuple):
             error_type=type(exc).__name__,
             message=str(exc),
             traceback_text=traceback.format_exc(),
-        )
+        ), None
+    return (idx, row) if carried is None else (idx, row, landed)
+
+
+def _fold_landed(payload: tuple, value: tuple) -> bool:
+    """Add a carried cell's fresh queueing result to its group's results.
+
+    Returns True when the cell reused a twin's result instead.
+    """
+    landed = value[2] if len(value) > 2 else None
+    if landed is None:
+        return False
+    digest, result = landed
+    if result is None:
+        return True
+    payload[8].setdefault(digest, result)
+    return False
 
 
 def _cell_retry_signal(value) -> str | None:
@@ -518,18 +605,29 @@ def run_cells(
     hung / killed / crashing cells are retried, quarantined, or drained
     serially per ``docs/RESILIENCE.md``.
 
+    A payload that carries its group's queueing results (a ninth field,
+    see :func:`execute_cell_payload`) has its fresh result added to them
+    as it lands.  The supervisor dispatches the next cell only after the
+    caller has taken the previous one, and it pickles the payload then,
+    so every later cell of the group sees every result landed before.
+
     Each cell's deadline is ``cell_deadline_s`` when given (``0``
     disables deadlines), else the supervisor policy's ``deadline_s`` of
     the cell's trace size.  A cell that never produced a value becomes
     a :class:`CellError` built from the supervisor's failure report,
     and every supervised :class:`CellError` carries the cell's
     ``attempts`` and ``last_signal``.  ``counts``, when given, receives
-    this batch's supervisor counters once it finishes (untouched
-    inline).
+    ``queueing_reused`` (the cells that reused a twin's queueing) once
+    the batch finishes, and the supervisor's counters when supervised.
     """
+    reused = 0
     if supervisor.workers <= 1:
         for pos, pc in enumerate(batch):
-            yield pos, execute_cell_payload(pc.payload)[1]
+            value = execute_cell_payload(pc.payload)
+            reused += _fold_landed(pc.payload, value)
+            yield pos, value[1]
+        if counts is not None:
+            counts["queueing_reused"] = reused
         return
     policy = supervisor.policy
 
@@ -558,7 +656,8 @@ def run_cells(
                 last_signal=report.last_signal,
             )
             continue
-        _, result = report.value
+        reused += _fold_landed(batch[report.task_id].payload, report.value)
+        result = report.value[1]
         if isinstance(result, CellError) and (
             report.attempts > 1 or report.last_signal
         ):
@@ -569,7 +668,7 @@ def run_cells(
             )
         yield report.task_id, result
     if counts is not None:
-        counts.update(supervisor.counts())
+        counts.update(supervisor.counts(), queueing_reused=reused)
 
 
 def cell_meta(cell: SweepCell, lane: str, salt: str) -> dict:
@@ -860,6 +959,9 @@ class SweepEngine:
 
         outcomes: dict[int, CellOutcome] = {}
         pending: list[PlannedCell] = []   # cache misses
+        # Each (workload, seed)'s landed queueing results, for this run
+        # only: its pending payloads carry them (execute_cell_payload).
+        carried: dict[tuple[str, int], dict] = {}
         resumed = 0
         for pc in planned:
             if resume and pc.journal_key in journaled:
@@ -878,7 +980,8 @@ class SweepEngine:
                     )
                     self._journal_append(pc, row_dict)
                     continue
-            pending.append(pc)
+            group = carried.setdefault((pc.cell.workload, pc.cell.seed), {})
+            pending.append(dataclasses.replace(pc, payload=pc.payload + (group,)))
 
         if (
             resume
@@ -932,6 +1035,7 @@ class SweepEngine:
         stats = SweepStats(
             cells=len(planned),
             executed=len(pending),
+            queueing_reused=counts.get("queueing_reused", 0),
             cache_hits=sum(1 for o in ordered if o.cached),
             cache_stores=cache_stores,
             resumed=resumed,
